@@ -14,6 +14,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use tdn::algorithms::TraversalKind;
 use tdn::prelude::*;
 
 fn golden_dir() -> PathBuf {
@@ -158,6 +159,62 @@ fn solutions_actual() -> String {
 #[test]
 fn tracker_solutions_match_golden() {
     assert_matches_golden("tracker_solutions.txt", &solutions_actual());
+}
+
+/// Each tracker's final incremental-engine tallies after the golden
+/// schedule. Solutions and oracle calls cannot see *how* a spread was
+/// served, so these counters are what pins the engine itself: a dirty set
+/// marked too wide (or a delta patch that misses a node) leaves every
+/// answer intact but moves `cache_hits`/`cache_misses` and the
+/// patched/rebuilt split.
+fn engine_tallies_actual(traversal: TraversalKind) -> String {
+    let cfg = TrackerConfig::new(3, 0.2, 8);
+    let schedule = golden_schedule();
+    let mut out = String::new();
+    let mut line = |label: &str, s: SpreadStatsSnapshot| {
+        let _ = writeln!(
+            out,
+            "{label} novel={} redundant={} sink_delta={} probe_exhausted={} \
+             cache_hits={} cache_misses={} patched={} rebuilt={} \
+             shed={}/{}/{}",
+            s.novel_edges,
+            s.redundant_edges,
+            s.sink_delta_edges,
+            s.probe_budget_exhausted,
+            s.cache_hits,
+            s.cache_misses,
+            s.patched_batches,
+            s.rebuilt_batches,
+            s.shed_memo,
+            s.shed_arena,
+            s.shed_fallback,
+        );
+    };
+    let mut sieve = SieveAdnTracker::new(&cfg).with_traversal(traversal);
+    let mut basic = BasicReduction::new(&cfg).with_traversal(traversal);
+    let mut hist = HistApprox::new(&cfg).with_traversal(traversal);
+    let mut refeed = HistApprox::new(&TrackerConfig::new(2, 0.15, 10))
+        .with_refeed()
+        .with_traversal(traversal);
+    for (t, batch) in &schedule {
+        sieve.step(*t, batch);
+        basic.step(*t, batch);
+        hist.step(*t, batch);
+        refeed.step(*t, batch);
+    }
+    line("SieveADN", sieve.spread_stats());
+    line("BasicReduction", basic.spread_stats());
+    line("HistApprox", hist.spread_stats());
+    line("HistApprox+refeed", refeed.spread_stats());
+    out
+}
+
+/// Every traversal backend must reproduce the same engine tallies.
+#[test]
+fn engine_tallies_match_golden() {
+    for traversal in [TraversalKind::Wide, TraversalKind::Scalar] {
+        assert_matches_golden("engine_tallies.txt", &engine_tallies_actual(traversal));
+    }
 }
 
 /// Sketch estimates on the Fig. 2 worked example (the paper's running
