@@ -7,7 +7,6 @@ pub mod fig11_12;
 pub mod fig13_14;
 pub mod fig7;
 pub mod fig8_10;
-pub mod flatgraph;
 pub mod hotpath;
 pub mod restore;
 pub mod scale;
@@ -15,4 +14,3 @@ pub mod serve;
 pub mod sketch;
 pub mod table1;
 pub mod throughput;
-pub mod widetrav;

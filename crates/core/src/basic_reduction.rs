@@ -13,7 +13,7 @@
 //! joins at index `L` (Fig. 4(b)) — implemented with a `VecDeque` rotate.
 
 use crate::config::TrackerConfig;
-use crate::sieve_adn::{SieveAdn, SpreadMode, TraversalKind};
+use crate::sieve_adn::{SieveAdn, SpreadMode};
 use crate::tracker::{InfluenceTracker, Solution};
 use std::collections::VecDeque;
 use tdn_graph::{Lifetime, SpreadStats, SpreadStatsSnapshot, Time};
@@ -29,8 +29,6 @@ pub struct BasicReduction {
     /// Spread-maintenance mode applied to every instance (current and
     /// future — `shift` keeps minting them).
     mode: SpreadMode,
-    /// Traversal backend applied to every instance, like `mode`.
-    traversal: TraversalKind,
     /// Incremental-engine tally shared by all instances (like `counter`).
     spread_stats: SpreadStats,
     last_t: Option<Time>,
@@ -66,7 +64,6 @@ impl BasicReduction {
             instances,
             counter,
             mode,
-            traversal: TraversalKind::default(),
             spread_stats,
             last_t: None,
             last_solution: None,
@@ -86,21 +83,6 @@ impl BasicReduction {
     /// The active spread-maintenance mode.
     pub fn spread_mode(&self) -> SpreadMode {
         self.mode
-    }
-
-    /// Sets the traversal backend for every current and future instance
-    /// (builder form).
-    pub fn with_traversal(mut self, traversal: TraversalKind) -> Self {
-        self.traversal = traversal;
-        for inst in &mut self.instances {
-            inst.set_traversal(traversal);
-        }
-        self
-    }
-
-    /// The active traversal backend.
-    pub fn traversal(&self) -> TraversalKind {
-        self.traversal
     }
 
     /// Current incremental-engine tallies, aggregated across all
@@ -188,7 +170,6 @@ impl BasicReduction {
             instances,
             counter,
             mode,
-            traversal: TraversalKind::default(),
             spread_stats,
             last_t: has_last.then_some(last_raw),
             last_solution: None,
@@ -241,14 +222,12 @@ impl BasicReduction {
     /// `A_L` (Alg. 2 lines 5–7).
     fn shift(&mut self) {
         self.instances.pop_front();
-        let mut fresh = SieveAdn::from_config_with(
+        self.instances.push_back(SieveAdn::from_config_with(
             &self.cfg,
             self.counter.clone(),
             self.mode,
             self.spread_stats.clone(),
-        );
-        fresh.set_traversal(self.traversal);
-        self.instances.push_back(fresh);
+        ));
     }
 }
 

@@ -18,7 +18,7 @@
 //! differ by more than a `(1 − ε)` factor (Definition 4).
 
 use crate::config::TrackerConfig;
-use crate::sieve_adn::{SieveAdn, SpreadMode, TraversalKind};
+use crate::sieve_adn::{SieveAdn, SpreadMode};
 use crate::tracker::{InfluenceTracker, Solution};
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -37,8 +37,6 @@ pub struct HistApprox {
     /// Spread-maintenance mode applied to every instance (fresh copies
     /// inherit it via `clone`).
     mode: SpreadMode,
-    /// Traversal backend applied to every instance, like `mode`.
-    traversal: TraversalKind,
     /// Incremental-engine tally shared by all instances (like `counter`).
     spread_stats: SpreadStats,
     /// Restore the `(1/2 − ε)` guarantee by feeding `A_{x₁}` the edges with
@@ -56,7 +54,6 @@ impl HistApprox {
             instances: BTreeMap::new(),
             counter: OracleCounter::new(),
             mode: SpreadMode::default(),
-            traversal: TraversalKind::default(),
             spread_stats: SpreadStats::new(),
             refeed: false,
             last_t: None,
@@ -83,21 +80,6 @@ impl HistApprox {
     /// The active spread-maintenance mode.
     pub fn spread_mode(&self) -> SpreadMode {
         self.mode
-    }
-
-    /// Sets the traversal backend for every current and future instance
-    /// (builder form).
-    pub fn with_traversal(mut self, traversal: TraversalKind) -> Self {
-        self.traversal = traversal;
-        for inst in self.instances.values_mut() {
-            inst.set_traversal(traversal);
-        }
-        self
-    }
-
-    /// The active traversal backend.
-    pub fn traversal(&self) -> TraversalKind {
-        self.traversal
     }
 
     /// Current incremental-engine tallies, aggregated across all
@@ -203,7 +185,6 @@ impl HistApprox {
             instances,
             counter,
             mode,
-            traversal: TraversalKind::default(),
             spread_stats,
             refeed,
             last_t: has_last.then_some(last_raw),
@@ -222,18 +203,13 @@ impl HistApprox {
             let mut inst = match successor {
                 // Fig. 6(b): no successor — nothing alive outlives `l`, so a
                 // fresh instance starts from the empty ADN (copies made in
-                // the other arm inherit mode, traversal backend, and shared
-                // stats via `clone`).
-                None => {
-                    let mut fresh = SieveAdn::from_config_with(
-                        &self.cfg,
-                        self.counter.clone(),
-                        self.mode,
-                        self.spread_stats.clone(),
-                    );
-                    fresh.set_traversal(self.traversal);
-                    fresh
-                }
+                // the other arm inherit mode and shared stats via `clone`).
+                None => SieveAdn::from_config_with(
+                    &self.cfg,
+                    self.counter.clone(),
+                    self.mode,
+                    self.spread_stats.clone(),
+                ),
                 // Fig. 6(c): copy the successor and backfill the live edges
                 // with remaining lifetime in [l, l*).
                 Some(d_star) => {

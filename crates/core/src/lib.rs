@@ -59,9 +59,9 @@ pub use hist_approx::HistApprox;
 pub use influence::InfluenceObjective;
 pub use metrics::{jaccard, ChurnTracker};
 pub use random::RandomTracker;
-pub use sieve_adn::{SieveAdn, SieveAdnTracker, SpreadMode, TraversalKind};
+pub use sieve_adn::{SieveAdn, SieveAdnTracker, SpreadMode};
 pub use tracker::{InfluenceTracker, Solution};
 
 // Re-exported so spread-engine consumers (benches, tests) need not depend
 // on the graph crate directly.
-pub use tdn_graph::{SpreadStats, SpreadStatsSnapshot, SweepDirection};
+pub use tdn_graph::{SpreadStats, SpreadStatsSnapshot};

@@ -42,7 +42,11 @@
 //! call per singleton evaluation — so solutions and tallies are
 //! bit-identical to [`SpreadMode::FullRecompute`], the retained
 //! pre-engine reference path (`tests/differential_spread.rs` is the
-//! enforcing oracle).
+//! enforcing oracle). Every reachability question of the incremental
+//! path — the `V̄_t` sweep, dirty/delta marking, old-sink patches and
+//! spread rebuilds — runs on the wide-lane, direction-optimizing
+//! traversals of `tdn_graph::reach` (see DESIGN.md § Wide-lane
+//! bit-parallel traversal engine).
 
 use crate::config::TrackerConfig;
 use crate::tracker::{InfluenceTracker, Solution};
@@ -51,7 +55,7 @@ use tdn_graph::{
     lane_chunks, lane_width_for, marginal_gain, reach_count, reach_count_batch_wide,
     reverse_reach_batch_wide, reverse_reach_collect, reverse_reach_union_ordered, AdnGraph,
     CoverSet, EdgeInsert, FxHashMap, FxHashSet, NodeId, OutGraph, ScratchPool, SketchParams,
-    SketchPool, SpreadMemo, SpreadStats, SpreadStatsSnapshot, SweepDirection, Time, BATCH_LANES,
+    SketchPool, SpreadMemo, SpreadStats, SpreadStatsSnapshot, SweepDirection, Time,
     MAX_BATCH_LANES,
 };
 use tdn_streams::TimedEdge;
@@ -65,9 +69,10 @@ pub enum SpreadMode {
     /// patch-vs-rebuild cost model. Bit-identical outputs, much less BFS.
     #[default]
     Incremental,
-    /// The reference path: full recomputation of every `V̄_t` spread per
-    /// batch. Retained verbatim as the differential-testing oracle (and as
-    /// the baseline the `hotpath` experiment measures against).
+    /// The reference path: `V̄_t` from one serial reverse BFS per edge
+    /// source, and full recomputation of every `V̄_t` spread per batch.
+    /// Retained as the differential-testing oracle (and as the baseline
+    /// the `hotpath` experiment measures against).
     FullRecompute,
     /// Bounded-error estimation: singleton spreads are served from a
     /// [`SketchPool`] of reverse-reachable sets maintained under inserts,
@@ -105,89 +110,6 @@ impl SpreadMode {
     }
 }
 
-/// Which traversal backend services the incremental engine's hot path
-/// (phase-3 dirty/delta marking, phase-3b old-sink patches, and phase-4a
-/// spread rebuilds). Every backend produces bit-identical solutions and
-/// oracle tallies; the knob exists so the `flatgraph` and `widetrav`
-/// experiments can measure each backend against the one it replaced, and
-/// so differential tests can pin any point of the width × direction grid.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum TraversalKind {
-    /// The wide-lane direction-optimizing engine: lane batches are sized
-    /// to the work (up to [`MAX_BATCH_LANES`] = 256 lanes per traversal,
-    /// word width chosen per chunk), and every sweep may switch between
-    /// top-down worklist rounds and prefetched bottom-up scans
-    /// ([`SweepDirection::Auto`]).
-    #[default]
-    Wide,
-    /// The previous default, retained as the measured "before" of
-    /// `experiments widetrav`: 64-lane single-word batches, top-down
-    /// sweeps only.
-    Batch64,
-    /// The scalar backend retained from the engine's first release: one
-    /// full reverse BFS per distinct source (marking piggybacked), two
-    /// reverse BFSs per old sink, one forward BFS per rebuilt spread.
-    /// The measured "before" of `experiments flatgraph`, and a
-    /// differential oracle for the batched backends.
-    Scalar,
-    /// A pinned point of the batched grid: exactly `lanes` lanes per
-    /// traversal (rounded to a label width of 1, 2 or 4 words) swept in
-    /// `direction`. Differential tests iterate this variant to prove the
-    /// whole grid bit-identical; [`Self::Wide`] picks the same code paths
-    /// adaptively.
-    Fixed {
-        /// Max multi-source lanes per traversal (1..=[`MAX_BATCH_LANES`]).
-        lanes: usize,
-        /// Sweep policy for every traversal this backend issues.
-        direction: SweepDirection,
-    },
-}
-
-/// Resolved batching parameters of a [`TraversalKind`] (`None` = scalar).
-#[derive(Copy, Clone)]
-struct BatchParams {
-    /// Max lanes per traversal; work is chunked to this.
-    max_lanes: usize,
-    /// Sweep policy handed to every batched traversal.
-    direction: SweepDirection,
-    /// Label width in words, or `None` to size per chunk
-    /// ([`lane_width_for`] of the chunk length).
-    pinned_width: Option<usize>,
-}
-
-impl BatchParams {
-    /// Label width in words for a chunk of `chunk_len` lanes.
-    fn width_for(&self, chunk_len: usize) -> usize {
-        self.pinned_width
-            .unwrap_or_else(|| lane_width_for(chunk_len))
-    }
-}
-
-impl TraversalKind {
-    /// The batching parameters this backend runs the lane-batched phases
-    /// with, or `None` for the scalar backend.
-    fn batch_params(self) -> Option<BatchParams> {
-        match self {
-            TraversalKind::Wide => Some(BatchParams {
-                max_lanes: MAX_BATCH_LANES,
-                direction: SweepDirection::Auto,
-                pinned_width: None,
-            }),
-            TraversalKind::Batch64 => Some(BatchParams {
-                max_lanes: BATCH_LANES,
-                direction: SweepDirection::TopDown,
-                pinned_width: Some(1),
-            }),
-            TraversalKind::Fixed { lanes, direction } => Some(BatchParams {
-                max_lanes: lanes,
-                direction,
-                pinned_width: Some(lane_width_for(lanes)),
-            }),
-            TraversalKind::Scalar => None,
-        }
-    }
-}
-
 /// Cost-model knob: max BFS expansions a redundancy probe may spend before
 /// giving up (classifying the edge novel — sound, just less savings). Keeps
 /// the probe strictly cheaper than the ancestor invalidation it avoids.
@@ -199,8 +121,8 @@ const REBUILD_NUM: usize = 3;
 /// Denominator of the rebuild threshold (see [`REBUILD_NUM`]).
 const REBUILD_DEN: usize = 4;
 
-/// Phase-4a skeleton shared by the plan-shaped evaluation backends: serve
-/// clean nodes from the memo in one serial (deterministic) planning pass,
+/// Phase-4a skeleton of the incremental engine: serve clean nodes from
+/// the memo in one serial (deterministic) planning pass,
 /// evaluate the misses via `compute` (given the miss indices into `vbar`,
 /// returning their spreads in the same order), then merge back in plan
 /// order and re-store. Returns the values plus the memo-hit count.
@@ -258,7 +180,6 @@ pub struct SieveAdn {
     counter: OracleCounter,
     scratch: ScratchPool,
     mode: SpreadMode,
-    traversal: TraversalKind,
     memo: SpreadMemo,
     /// Present iff `mode` is [`SpreadMode::Sketch`]: the reverse-reachable
     /// sketch pool singleton spreads are served from.
@@ -279,7 +200,6 @@ impl SieveAdn {
             counter,
             scratch: ScratchPool::new(),
             mode: SpreadMode::default(),
-            traversal: TraversalKind::default(),
             memo: SpreadMemo::new(),
             sketch: None,
         }
@@ -334,24 +254,6 @@ impl SieveAdn {
     /// The active spread-maintenance mode.
     pub fn spread_mode(&self) -> SpreadMode {
         self.mode
-    }
-
-    /// Sets the traversal backend (builder form). Pure strategy — outputs
-    /// are bit-identical either way — so no state is invalidated and the
-    /// knob is not serialized (restored instances use the default).
-    pub fn with_traversal(mut self, traversal: TraversalKind) -> Self {
-        self.set_traversal(traversal);
-        self
-    }
-
-    /// Sets the traversal backend.
-    pub fn set_traversal(&mut self, traversal: TraversalKind) {
-        self.traversal = traversal;
-    }
-
-    /// The active traversal backend.
-    pub fn traversal(&self) -> TraversalKind {
-        self.traversal
     }
 
     /// Replaces the incremental engine's stats handle (clones of the
@@ -536,13 +438,9 @@ impl SieveAdn {
                 });
             });
         }
-        // Phase 3: V̄_t and (incremental mode) dirty/delta marking. The
-        // batched backend builds `V̄_t` with one shared ordered sweep and
-        // marks up to 64 sources per bit-parallel reverse traversal; the
-        // scalar backend runs the retained reverse-BFS-per-source code.
-        // `vbar`'s membership AND order are identical across backends,
-        // spread modes, and thread counts — the sieve replay below depends
-        // on it.
+        // Phase 3: V̄_t and (incremental mode) dirty/delta marking.
+        // `vbar`'s membership AND order are identical across spread modes
+        // and thread counts — the sieve replay below depends on it.
         let mut sources: Vec<NodeId> = Vec::new();
         {
             let mut seen_src: FxHashSet<NodeId> = FxHashSet::default();
@@ -552,25 +450,42 @@ impl SieveAdn {
                 }
             }
         }
-        let batch_params = if incremental {
-            self.traversal.batch_params()
-        } else {
-            None
-        };
         let mut vbar: Vec<NodeId> = Vec::new();
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        if let Some(params) = batch_params {
+        if self.mode == SpreadMode::FullRecompute {
+            // The reference construction: one full reverse BFS per source,
+            // merged with dedup in source order. A source that is already
+            // a known ancestor is skipped — ancestors(u) ⊆ seen, since
+            // reverse reachability is transitive — which elides work only.
+            scratch.with(|s| {
+                let mut seen: FxHashSet<NodeId> = FxHashSet::default();
+                let mut ancestors = Vec::new();
+                for &u in &sources {
+                    if seen.contains(&u) {
+                        continue;
+                    }
+                    reverse_reach_collect(graph, u, s, &mut ancestors);
+                    for &a in &ancestors {
+                        if seen.insert(a) {
+                            vbar.push(a);
+                        }
+                    }
+                }
+            });
+        } else {
             // One shared sweep: sources in order, each appending its
             // not-yet-seen ancestors in single-source BFS order — exactly
-            // the merge order of the per-source paths below (see the
+            // the reference merge order above (see the
             // `reverse_reach_union_ordered` docs for the argument).
             scratch.with(|s| reverse_reach_union_ordered(graph, &sources, s, &mut vbar));
-            // Marking sweep: one lane per source that needs it. Lane label
-            // words arrive per chunk (fanned out across workers on the
-            // stealing scheduler — chunk costs are skewed by cone size);
-            // the merge applies dirty marks and exact deltas serially, so
-            // the sets and per-node counts the memo consults are identical
-            // to the scalar backend's (order within the EpochSets differs,
+        }
+        if incremental {
+            // Marking sweep: one lane per source that needs it, up to
+            // MAX_BATCH_LANES lanes per traversal. Lane label words arrive
+            // per chunk (fanned out across workers on the stealing
+            // scheduler — chunk costs are skewed by cone size); the merge
+            // applies dirty marks and exact deltas serially, so the sets
+            // and per-node counts the memo consults are those of one
+            // reverse BFS per source (order within the EpochSets differs,
             // which nothing observes).
             let mark: Vec<(NodeId, bool, u32)> = sources
                 .iter()
@@ -580,8 +495,7 @@ impl SieveAdn {
                     (novel || k > 0).then_some((u, novel, k))
                 })
                 .collect();
-            let chunks: Vec<&[(NodeId, bool, u32)]> =
-                lane_chunks(&mark, params.max_lanes).collect();
+            let chunks: Vec<&[(NodeId, bool, u32)]> = lane_chunks(&mark, MAX_BATCH_LANES).collect();
             let labeled: Vec<Vec<(NodeId, [u64; 4])>> = exec::par_map_steal(&chunks, |chunk| {
                 scratch.with(|s| {
                     let lanes: Vec<&[NodeId]> = chunk
@@ -592,8 +506,8 @@ impl SieveAdn {
                     reverse_reach_batch_wide(
                         graph,
                         &lanes,
-                        params.width_for(chunk.len()),
-                        params.direction,
+                        lane_width_for(chunk.len()),
+                        SweepDirection::Auto,
                         s,
                         |n, mask| {
                             out.push((n, mask));
@@ -625,83 +539,6 @@ impl SieveAdn {
                     }
                     if k_total > 0 {
                         memo.add_delta_n(n, k_total);
-                    }
-                }
-            }
-        } else if exec::threads() <= 1 {
-            // Serial path keeps the subsumption skip: if `u` is already a
-            // known ancestor, ancestors(u) ⊆ seen (reverse reachability is
-            // transitive), so its BFS is provably redundant. The skip only
-            // elides work — `vbar` is identical either way. Incremental
-            // mode piggybacks on the same BFS: collected ancestor sets are
-            // marked dirty (novel sources) and/or credited their exact
-            // new-sink deltas (delta sources) in place; subsumed sources
-            // needing marks get one extra reverse BFS (dirty marking
-            // prunes at already-dirty nodes — sound because the dirty set
-            // is ancestor-closed).
-            scratch.with(|s| {
-                let mut ancestors = Vec::new();
-                for &u in &sources {
-                    let novel = novel_sources.contains(&u);
-                    let delta_k = delta_source_count.get(&u).copied().unwrap_or(0);
-                    if !seen.contains(&u) {
-                        reverse_reach_collect(graph, u, s, &mut ancestors);
-                        for &a in &ancestors {
-                            if seen.insert(a) {
-                                vbar.push(a);
-                            }
-                        }
-                        if novel {
-                            for &a in &ancestors {
-                                memo.mark_dirty(a);
-                            }
-                        }
-                        if delta_k > 0 {
-                            for &a in &ancestors {
-                                memo.add_delta_n(a, delta_k);
-                            }
-                        }
-                    } else {
-                        if novel {
-                            memo.mark_ancestors_dirty(graph, u);
-                        }
-                        if delta_k > 0 {
-                            reverse_reach_collect(graph, u, s, &mut ancestors);
-                            for &a in &ancestors {
-                                memo.add_delta_n(a, delta_k);
-                            }
-                        }
-                    }
-                }
-            });
-        } else {
-            let ancestor_sets: Vec<Vec<NodeId>> = exec::par_map(&sources, |&u| {
-                scratch.with(|s| {
-                    let mut out = Vec::new();
-                    reverse_reach_collect(graph, u, s, &mut out);
-                    out
-                })
-            });
-            for ancestors in &ancestor_sets {
-                for &a in ancestors {
-                    if seen.insert(a) {
-                        vbar.push(a);
-                    }
-                }
-            }
-            // Same dirty and delta sets as the serial path: unions of
-            // complete ancestor sets (marking order differs, but set
-            // membership and per-node counts — all the memo consults —
-            // do not).
-            for (i, u) in sources.iter().enumerate() {
-                if novel_sources.contains(u) {
-                    for &a in &ancestor_sets[i] {
-                        memo.mark_dirty(a);
-                    }
-                }
-                if let Some(&k) = delta_source_count.get(u) {
-                    for &a in &ancestor_sets[i] {
-                        memo.add_delta_n(a, k);
                     }
                 }
             }
@@ -742,94 +579,54 @@ impl SieveAdn {
                 // Phase 3b: the sink deltas phase 3 could not fuse —
                 // pre-existing sinks, whose `+1` applies only to nodes
                 // that could not already reach the sink through its old
-                // in-edges (`A ∖ B`: two lanes per sink batched 32 lanes
-                // per label word, or two reverse BFSs per sink under the
-                // scalar backend — identical per-node deltas either way).
+                // in-edges (`A ∖ B`: two lanes per sink, up to 128 sinks
+                // per traversal).
+                let words = lane_width_for((old_sink_targets.len() * 2).min(MAX_BATCH_LANES));
                 scratch.with(|s| {
-                    if let Some(params) = batch_params {
-                        let words =
-                            params.width_for((old_sink_targets.len() * 2).min(MAX_BATCH_LANES));
-                        memo.apply_old_sink_deltas_wide(
-                            graph,
-                            &old_sink_targets,
-                            words,
-                            params.direction,
-                            s,
-                        );
-                    } else {
-                        for (v, sink_sources) in &old_sink_targets {
-                            memo.apply_old_sink_delta(graph, *v, sink_sources, s);
-                        }
-                    }
+                    memo.apply_old_sink_deltas_wide(
+                        graph,
+                        &old_sink_targets,
+                        words,
+                        SweepDirection::Auto,
+                        s,
+                    );
                 });
             }
-            let mut hits = 0u64;
-            let values = if let Some(params) = batch_params {
-                // Evaluate the misses in wide counting batches: dirty
-                // sources are ancestors of the same novel edges, so their
-                // downstream cones overlap heavily and one shared labeled
-                // traversal replaces up to `max_lanes` cone re-walks.
-                // Counts are exactly what per-node BFS returns, so the
-                // values — and the tally, charged per evaluation below —
-                // are unchanged. Chunk costs are skewed (cone sizes vary
-                // wildly), hence the stealing fan-out.
-                let (values, h) = plan_compute_merge(memo, &vbar, rebuild, |need| {
-                    if need.len() <= 1 {
+            // Evaluate the misses in wide counting batches: dirty sources
+            // are ancestors of the same novel edges, so their downstream
+            // cones overlap heavily and one shared labeled traversal
+            // replaces up to MAX_BATCH_LANES cone re-walks. Counts are
+            // exactly what per-node BFS returns, so the values — and the
+            // tally, charged per evaluation below — are unchanged. Chunk
+            // costs are skewed (cone sizes vary wildly), hence the
+            // stealing fan-out.
+            let (values, hits) = plan_compute_merge(memo, &vbar, rebuild, |need| {
+                if need.len() <= 1 {
+                    scratch.with(|s| {
+                        need.iter()
+                            .map(|&j| reach_count(graph, vbar[j], s))
+                            .collect()
+                    })
+                } else {
+                    let chunks: Vec<&[usize]> = lane_chunks(need, MAX_BATCH_LANES).collect();
+                    exec::par_map_steal(&chunks, |chunk| {
                         scratch.with(|s| {
-                            need.iter()
-                                .map(|&j| reach_count(graph, vbar[j], s))
-                                .collect()
+                            let srcs: Vec<NodeId> = chunk.iter().map(|&j| vbar[j]).collect();
+                            let mut counts = vec![0u64; srcs.len()];
+                            reach_count_batch_wide(
+                                graph,
+                                &srcs,
+                                lane_width_for(chunk.len()),
+                                SweepDirection::Auto,
+                                s,
+                                &mut counts,
+                            );
+                            counts
                         })
-                    } else {
-                        let chunks: Vec<&[usize]> = lane_chunks(need, params.max_lanes).collect();
-                        exec::par_map_steal(&chunks, |chunk| {
-                            scratch.with(|s| {
-                                let srcs: Vec<NodeId> = chunk.iter().map(|&j| vbar[j]).collect();
-                                let mut counts = vec![0u64; srcs.len()];
-                                reach_count_batch_wide(
-                                    graph,
-                                    &srcs,
-                                    params.width_for(chunk.len()),
-                                    params.direction,
-                                    s,
-                                    &mut counts,
-                                );
-                                counts
-                            })
-                        })
-                        .concat()
-                    }
-                });
-                hits = h;
-                values
-            } else if exec::threads() <= 1 {
-                let memo = &mut *memo;
-                let hits = &mut hits;
-                scratch.with(|s| {
-                    vbar.iter()
-                        .map(|&v| {
-                            if !rebuild {
-                                if let Some(patched) = memo.lookup_patched(v) {
-                                    *hits += 1;
-                                    memo.store(v, patched);
-                                    return patched;
-                                }
-                            }
-                            let n = reach_count(graph, v, s);
-                            memo.store(v, n);
-                            n
-                        })
-                        .collect()
-                })
-            } else {
-                // Scalar parallel path: BFS the misses in parallel, merge
-                // back in plan order.
-                let (values, h) = plan_compute_merge(memo, &vbar, rebuild, |need| {
-                    exec::par_map(need, |&j| scratch.with(|s| reach_count(graph, vbar[j], s)))
-                });
-                hits = h;
-                values
-            };
+                    })
+                    .concat()
+                }
+            });
             memo.stats().add_cache_hits(hits);
             memo.stats().add_cache_misses(vbar.len() as u64 - hits);
             values
@@ -1014,7 +811,6 @@ impl SieveAdn {
             counter,
             scratch: ScratchPool::new(),
             mode,
-            traversal: TraversalKind::default(),
             memo,
             sketch,
         })
@@ -1163,7 +959,6 @@ impl SieveAdn {
             counter,
             scratch: ScratchPool::new(),
             mode,
-            traversal: TraversalKind::default(),
             memo,
             sketch,
         })
@@ -1238,17 +1033,6 @@ impl SieveAdnTracker {
     /// The active spread-maintenance mode.
     pub fn spread_mode(&self) -> SpreadMode {
         self.inner.spread_mode()
-    }
-
-    /// Sets the traversal backend (builder form).
-    pub fn with_traversal(mut self, traversal: TraversalKind) -> Self {
-        self.inner.set_traversal(traversal);
-        self
-    }
-
-    /// The active traversal backend.
-    pub fn traversal(&self) -> TraversalKind {
-        self.inner.traversal()
     }
 
     /// Current incremental-engine tallies.
@@ -1554,69 +1338,137 @@ mod tests {
         );
     }
 
-    /// The traversal backends are pure strategy: every point of the
-    /// width × direction grid (and the adaptive default) must agree bit
-    /// for bit — solutions, oracle tallies, and engine tallies — with the
-    /// retained scalar backend on random streams.
-    #[test]
-    fn traversal_backends_are_bit_identical() {
-        let grid = [
-            TraversalKind::Wide,
-            TraversalKind::Batch64,
-            TraversalKind::Fixed {
-                lanes: 64,
-                direction: SweepDirection::Auto,
-            },
-            TraversalKind::Fixed {
-                lanes: 128,
-                direction: SweepDirection::TopDown,
-            },
-            TraversalKind::Fixed {
-                lanes: 256,
-                direction: SweepDirection::Auto,
-            },
-        ];
-        let scalar_counter = OracleCounter::new();
-        let mut scalar = SieveAdn::new(3, 0.15, true, scalar_counter.clone())
-            .with_traversal(TraversalKind::Scalar);
-        let mut batched: Vec<(SieveAdn, OracleCounter)> = grid
-            .iter()
-            .map(|&tr| {
-                let counter = OracleCounter::new();
-                let inst = SieveAdn::new(3, 0.15, true, counter.clone()).with_traversal(tr);
-                (inst, counter)
-            })
-            .collect();
-        assert_eq!(batched[0].0.traversal(), TraversalKind::Wide, "default");
-        let mut state = 0xB17B_A7C4_u64;
-        let mut rnd = move |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) % m
-        };
-        for _ in 0..40 {
-            let batch: Vec<(NodeId, NodeId)> = (0..1 + rnd(10))
-                .map(|_| (NodeId(rnd(70) as u32), NodeId(rnd(70) as u32)))
-                .collect();
-            scalar.feed(batch.clone());
-            for (inst, counter) in &mut batched {
-                inst.feed(batch.clone());
-                let tr = inst.traversal();
-                assert_eq!(inst.query(), scalar.query(), "{tr:?}");
-                assert_eq!(inst.best_value(), scalar.best_value(), "{tr:?}");
+    /// Every value the memo stores must be the node's exact current
+    /// spread — the invariant a mis-decoded dirty mark or delta breaks
+    /// even when no answer changes yet.
+    fn assert_memo_exact(inst: &SieveAdn) {
+        let mut memo = inst.memo.clone();
+        // A fresh batch clears the dirty set, so lookups serve every
+        // stored value.
+        memo.begin_batch(inst.graph.node_index_bound());
+        let mut s = ReachScratch::new();
+        for v in inst.graph.nodes() {
+            if let Some(n) = memo.lookup(v) {
                 assert_eq!(
-                    counter.get(),
-                    scalar_counter.get(),
-                    "tallies diverged ({tr:?})"
+                    n,
+                    reach_count(&inst.graph, v, &mut s),
+                    "memo drifted at {v:?}"
                 );
             }
         }
-        for (inst, _) in &batched {
+    }
+
+    /// Feeds `batches` to an incremental and a full-recompute instance and
+    /// requires identical solutions and oracle tallies after every batch,
+    /// and an exact memo at the end. Returns the incremental instance.
+    fn run_against_full_recompute(batches: &[Vec<(NodeId, NodeId)>]) -> SieveAdn {
+        let inc_counter = OracleCounter::new();
+        let full_counter = OracleCounter::new();
+        let mut inc = SieveAdn::new(3, 0.15, true, inc_counter.clone());
+        let mut full = SieveAdn::new(3, 0.15, true, full_counter.clone())
+            .with_spread_mode(SpreadMode::FullRecompute);
+        for (b, batch) in batches.iter().enumerate() {
+            inc.feed(batch.iter().copied());
+            full.feed(batch.iter().copied());
+            assert_eq!(inc.query(), full.query(), "batch {b}");
+            assert_eq!(inc.best_value(), full.best_value(), "batch {b}");
             assert_eq!(
-                inst.spread_stats(),
-                scalar.spread_stats(),
-                "engine tallies must not depend on the traversal backend ({:?})",
-                inst.traversal()
+                inc_counter.get(),
+                full_counter.get(),
+                "tallies diverged at batch {b}"
             );
+        }
+        assert_memo_exact(&inc);
+        inc
+    }
+
+    /// One batch with more marked sources than a traversal has lanes: the
+    /// phase-3 marking sweep splits into a 256-lane (4-word) chunk and a
+    /// short 1-word tail, and the serial merge must decode every lane of
+    /// both back into the right dirty marks and per-node delta counts.
+    /// Sources share layered ancestors, so single nodes carry lanes from
+    /// every word of both chunks; the patch path (not a rebuild) serves
+    /// the clean ones from those decoded deltas.
+    #[test]
+    fn marking_across_lane_chunks_of_different_widths_matches_full_recompute() {
+        const SOURCES: u32 = 420;
+        // Classes by `i % 3`: 0 = novel edge, 1 = one to five edges into
+        // batch-new sinks (lane deltas differ between lanes `b` and
+        // `64 + b`), 2 = edge into a pre-existing sink (phase 3b,
+        // unmarked).
+        let marked = (0..SOURCES).filter(|i| i % 3 != 2).count();
+        assert!(marked > MAX_BATCH_LANES && marked - MAX_BATCH_LANES <= 64);
+        let group = |i: u32| NodeId(1000 + (i % 3) * 100 + i / 21);
+        let top = |i: u32| NodeId(1500 + i % 3);
+        let mut setup: Vec<(NodeId, NodeId)> = Vec::new();
+        for i in 0..SOURCES {
+            setup.push((group(i), NodeId(i)));
+            setup.push((top(i), group(i)));
+            setup.push((NodeId(1600), top(i)));
+        }
+        for c in 0..10 {
+            setup.push((NodeId(2000 + c), NodeId(2001 + c)));
+        }
+        for j in 0..5 {
+            setup.push((NodeId(2200), NodeId(2100 + j)));
+        }
+        let flood: Vec<(NodeId, NodeId)> = (0..SOURCES)
+            .flat_map(|i| match i % 3 {
+                0 => vec![(NodeId(i), NodeId(2000 + i % 10))],
+                1 => (0..=i % 5)
+                    .map(|j| (NodeId(i), NodeId(5000 + 5 * i + j)))
+                    .collect(),
+                _ => vec![(NodeId(i), NodeId(2100 + i % 5))],
+            })
+            .collect();
+        // A follow-up batch served almost entirely from the patched memo.
+        let follow: Vec<(NodeId, NodeId)> = (0..SOURCES)
+            .filter(|i| i % 3 == 1)
+            .map(|i| (NodeId(i), NodeId(7000 + i)))
+            .collect();
+        for threads in [1, 4] {
+            exec::with_threads(threads, || {
+                let inc =
+                    run_against_full_recompute(&[setup.clone(), flood.clone(), follow.clone()]);
+                let stats = inc.spread_stats();
+                assert_eq!(
+                    stats.rebuilt_batches, 0,
+                    "the flood must take the patch path"
+                );
+                assert!(stats.cache_hits > 0, "clean nodes must be served patched");
+            });
+        }
+    }
+
+    /// A flash-crowd batch — one hub fanning out to thousands of fresh
+    /// nodes — must drive the phase-4a counting sweep through bottom-up
+    /// rounds, and the answers must still match full recomputation.
+    #[test]
+    fn flash_crowd_batch_takes_bottom_up_sweeps_and_matches_full_recompute() {
+        const FAN: u32 = 5_000;
+        let setup = vec![
+            (NodeId(1), NodeId(0)),
+            (NodeId(2), NodeId(0)),
+            (NodeId(12), NodeId(13)),
+        ];
+        // (0, 12) is novel, so the hub and its ancestors are recounted in
+        // one lane batch whose frontier is the whole fan-out.
+        let mut flash = vec![(NodeId(0), NodeId(12))];
+        for i in 0..FAN {
+            flash.push((NodeId(0), NodeId(100 + i)));
+            if i % 7 == 0 {
+                flash.push((NodeId(100 + i), NodeId(100 + FAN + i)));
+            }
+        }
+        for threads in [1, 4] {
+            exec::with_threads(threads, || {
+                let before = tdn_graph::bottom_up_sweeps();
+                run_against_full_recompute(&[setup.clone(), flash.clone()]);
+                assert!(
+                    tdn_graph::bottom_up_sweeps() > before,
+                    "a {FAN}-wide frontier must switch to bottom-up"
+                );
+            });
         }
     }
 

@@ -663,6 +663,16 @@ mod tests {
     }
 
     #[test]
+    fn arena_accounting_grows_with_edges() {
+        let mut g = AdnGraph::new();
+        let empty = g.approx_bytes();
+        for i in 0..64u32 {
+            g.add_edge(NodeId(0), NodeId(i + 1));
+        }
+        assert!(g.approx_bytes() > empty, "arena growth not billed");
+    }
+
+    #[test]
     fn snapshot_corruption_is_rejected() {
         let mut g = AdnGraph::new();
         g.add_edge(NodeId(0), NodeId(1));

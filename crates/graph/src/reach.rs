@@ -20,7 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Reusable BFS scratch: an epoch-stamped visited array and a queue, plus
-/// the label words and touch list of the 64-lane bit-parallel traversals.
+/// the label words and touch list of the wide-lane bit-parallel
+/// traversals.
 ///
 /// Epoch stamping makes `clear` O(1): bumping the epoch invalidates all
 /// previous marks without touching memory.
@@ -559,90 +560,6 @@ pub fn reverse_reachable_within<G: OutGraph + InGraph>(
     Some(false)
 }
 
-/// Collects the reverse reachability set of `sink` while ignoring the
-/// direct in-edges from `skip_direct` (cleared into `out`). This is the
-/// "old ancestors" side `B` of the sink-delta patch: the nodes that could
-/// already reach `sink` without this batch's fresh in-edges. Only the hop
-/// `skip_direct[i] → sink` itself is skipped; a skipped source discovered
-/// through a longer path is still collected.
-pub fn reverse_reach_excluding<G: OutGraph + InGraph>(
-    g: &G,
-    sink: NodeId,
-    skip_direct: &[NodeId],
-    scratch: &mut ReachScratch,
-    out: &mut Vec<NodeId>,
-) {
-    scratch.begin(g.node_index_bound().max(sink.index() + 1));
-    scratch.visited[sink.index()] = scratch.epoch;
-    scratch.queue.push(sink);
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        let at_sink = v == sink;
-        g.for_each_in(v, |u| {
-            if at_sink && skip_direct.contains(&u) {
-                return;
-            }
-            let slot = &mut visited[u.index()];
-            if *slot != *epoch {
-                *slot = *epoch;
-                queue.push(u);
-            }
-        });
-    }
-    out.clear();
-    out.extend_from_slice(queue);
-}
-
-/// Collects the union of the reverse reachability sets of `starts` into
-/// `out` (cleared first) — one multi-source BFS, deduplicated by the
-/// scratch epoch. The incremental spread engine uses this to build `A_v`,
-/// the set of nodes that reach a new sink `v` through any of its in-edge
-/// sources.
-pub fn reverse_reach_multi_collect<G: OutGraph + InGraph>(
-    g: &G,
-    starts: &[NodeId],
-    scratch: &mut ReachScratch,
-    out: &mut Vec<NodeId>,
-) {
-    let max_start = starts.iter().map(|s| s.index() + 1).max().unwrap_or(0);
-    scratch.begin(g.node_index_bound().max(max_start));
-    for &s in starts {
-        let slot = &mut scratch.visited[s.index()];
-        if *slot != scratch.epoch {
-            *slot = scratch.epoch;
-            scratch.queue.push(s);
-        }
-    }
-    let ReachScratch {
-        visited,
-        epoch,
-        queue,
-        ..
-    } = scratch;
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        g.for_each_in(v, |u| {
-            let slot = &mut visited[u.index()];
-            if *slot != *epoch {
-                *slot = *epoch;
-                queue.push(u);
-            }
-        });
-    }
-    out.clear();
-    out.extend_from_slice(queue);
-}
-
 /// Lanes per label **word** of a bit-parallel traversal. The historical
 /// single-word lane count; wide traversals ship multiples of it (see
 /// [`MAX_BATCH_LANES`]).
@@ -1004,29 +921,6 @@ pub fn reverse_reach_batch<const W: usize, G: OutGraph + InGraph>(
     }
 }
 
-/// 64-lane bit-parallel multi-source **reverse** reachability — the
-/// single-word, top-down configuration of [`reverse_reach_batch`],
-/// retained as the measured PR 6 baseline and compatibility surface.
-///
-/// # Panics
-/// Panics if more than [`BATCH_LANES`] lanes are given.
-pub fn reverse_reach_batch64<G: OutGraph + InGraph>(
-    g: &G,
-    lanes: &[&[NodeId]],
-    mut skip: impl FnMut(NodeId, NodeId) -> u64,
-    scratch: &mut ReachScratch,
-    mut visit: impl FnMut(NodeId, u64),
-) {
-    reverse_reach_batch::<1, G>(
-        g,
-        lanes,
-        |v, u| [skip(v, u)],
-        SweepDirection::TopDown,
-        scratch,
-        |n, words| visit(n, words[0]),
-    );
-}
-
 /// Runs [`reverse_reach_batch`] (plain reachability, no skip mask) at a
 /// label width chosen at **runtime** — the monomorphization dispatcher the
 /// trackers' auto-width phases call with [`lane_width_for`]'s pick. Each
@@ -1251,22 +1145,6 @@ pub fn reach_count_batch<const W: usize, G: OutGraph + InGraph>(
             }
         }
     }
-}
-
-/// 64-lane bit-parallel **forward** reachability counting — the
-/// single-word, top-down configuration of [`reach_count_batch`], retained
-/// as the measured PR 6 baseline and compatibility surface.
-///
-/// # Panics
-/// Panics if `sources` and `counts` differ in length or exceed
-/// [`BATCH_LANES`].
-pub fn reach_count_batch64<G: OutGraph + InGraph>(
-    g: &G,
-    sources: &[NodeId],
-    scratch: &mut ReachScratch,
-    counts: &mut [u64],
-) {
-    reach_count_batch::<1, G>(g, sources, SweepDirection::TopDown, scratch, counts);
 }
 
 /// Runs [`reach_count_batch`] at a label width chosen at **runtime** — the
@@ -1520,10 +1398,8 @@ impl SpreadStatsSnapshot {
 ///    via [`store`](Self::store).
 ///
 /// The dirty set is **ancestor-closed** (a union of complete
-/// reverse-reachability sets), which is what lets
-/// [`mark_ancestors_dirty`](Self::mark_ancestors_dirty) prune its reverse
-/// BFS at already-dirty nodes, the same way `marginal_gain` prunes at
-/// covered nodes.
+/// reverse-reachability sets): the owner marks it from the label words of
+/// one lane-batched reverse traversal ([`reverse_reach_batch_wide`]).
 ///
 /// Values served from the memo are *exactly* what a fresh BFS would return,
 /// so consumers are bit-identical to a full-recompute run by construction;
@@ -1538,12 +1414,6 @@ pub struct SpreadMemo {
     /// spread grew by `delta_count[n]` this batch iff `delta.contains(n)`.
     delta: EpochSet,
     delta_count: Vec<u32>,
-    /// Reusable BFS queue for [`Self::mark_ancestors_dirty`].
-    queue: Vec<NodeId>,
-    /// Reusable buffers for [`Self::apply_old_sink_delta`].
-    bmark: EpochSet,
-    abuf: Vec<NodeId>,
-    bbuf: Vec<NodeId>,
     /// Adaptive probe-gate counters (see [`Self::probe_gate`]).
     probes_run: u64,
     probes_hit: u64,
@@ -1596,44 +1466,9 @@ impl SpreadMemo {
         self.dirty.insert(n)
     }
 
-    /// Whether `n` is dirty this batch.
-    #[inline]
-    pub fn is_dirty(&self, n: NodeId) -> bool {
-        self.dirty.contains(n)
-    }
-
     /// Number of nodes marked dirty this batch.
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
-    }
-
-    /// Marks `start` and everything that can reach it dirty, pruning the
-    /// reverse BFS at already-dirty nodes (sound because the dirty set is
-    /// ancestor-closed).
-    pub fn mark_ancestors_dirty<G: InGraph>(&mut self, g: &G, start: NodeId) {
-        if !self.dirty.insert(start) {
-            return;
-        }
-        let SpreadMemo { dirty, queue, .. } = self;
-        queue.clear();
-        queue.push(start);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            g.for_each_in(v, |u| {
-                if dirty.insert(u) {
-                    queue.push(u);
-                }
-            });
-        }
-    }
-
-    /// Adds one exact `+1` spread delta to `n` this batch (a batch-new
-    /// sink became reachable from it).
-    #[inline]
-    pub fn add_delta(&mut self, n: NodeId) {
-        self.add_delta_n(n, 1);
     }
 
     /// Adds `k` exact `+1` spread deltas to `n` this batch (`k` distinct
@@ -1684,60 +1519,17 @@ impl SpreadMemo {
         }
     }
 
-    /// Applies one **pre-existing sink**'s exact delta: every node that
-    /// reaches a fresh in-edge source of `sink` (the set `A`, one
-    /// multi-source reverse BFS) gains exactly the sink — unless it could
-    /// already reach it through an old in-edge (the set `B`, one reverse
-    /// BFS from the sink that skips the fresh direct hops). For clean
+    /// Applies the exact deltas of many **pre-existing sinks** with two
+    /// lanes per sink in bit-parallel reverse traversals (`words * 32`
+    /// sinks per traversal, swept in `direction`). Every node that reaches
+    /// a fresh in-edge source of a sink (lane `2i`, the set `A`) gains
+    /// exactly that sink — unless it could already reach it through an old
+    /// in-edge (lane `2i + 1`, the set `B`: everything reaching the sink
+    /// without the fresh direct hops, via the `skip` mask). For clean
     /// nodes `A ∖ B` is exactly the set whose spread grew, and it grew by
-    /// exactly 1 (the sink contributes nothing beyond itself); see
-    /// DESIGN.md § Incremental spread maintenance for the proof.
-    pub fn apply_old_sink_delta<G: OutGraph + InGraph>(
-        &mut self,
-        g: &G,
-        sink: NodeId,
-        fresh_sources: &[NodeId],
-        scratch: &mut ReachScratch,
-    ) {
-        let mut b = std::mem::take(&mut self.bbuf);
-        reverse_reach_excluding(g, sink, fresh_sources, scratch, &mut b);
-        self.bmark.clear();
-        for &x in &b {
-            self.bmark.insert(x);
-        }
-        let mut a = std::mem::take(&mut self.abuf);
-        reverse_reach_multi_collect(g, fresh_sources, scratch, &mut a);
-        for &x in &a {
-            if !self.bmark.contains(x) {
-                self.add_delta(x);
-            }
-        }
-        self.abuf = a;
-        self.bbuf = b;
-    }
-
-    /// Applies the exact deltas of many pre-existing sinks with two lanes
-    /// per sink in bit-parallel reverse traversals ([`BATCH_LANES`]` / 2`
-    /// sinks per traversal): lane `2i` is sink `i`'s `A` side (everything
-    /// reaching a fresh in-edge source) and lane `2i + 1` its `B` side
-    /// (everything reaching the sink without the fresh direct hops, via
-    /// the `skip` mask). A node gains `+1` per sink whose `A` bit is set
-    /// and `B` bit clear — identical per-node totals to calling
-    /// [`Self::apply_old_sink_delta`] once per sink, in two traversals per
-    /// 32 sinks instead of two full reverse BFSs per sink.
-    pub fn apply_old_sink_deltas_batch64<G: OutGraph + InGraph>(
-        &mut self,
-        g: &G,
-        sinks: &[(NodeId, Vec<NodeId>)],
-        scratch: &mut ReachScratch,
-    ) {
-        self.apply_old_sink_deltas_batch::<1, G>(g, sinks, SweepDirection::TopDown, scratch);
-    }
-
-    /// [`Self::apply_old_sink_deltas_batch64`] at a label width chosen at
-    /// runtime (`words * 32` sinks per traversal) with an explicit sweep
-    /// direction — the auto-width phase-3b entry point. Per-node delta
-    /// totals are identical at every width and direction.
+    /// exactly 1 per sink (a sink contributes nothing beyond itself); see
+    /// DESIGN.md § Incremental spread maintenance for the proof. Per-node
+    /// delta totals are identical at every width and direction.
     ///
     /// # Panics
     /// Panics if `words` is not a shipped width (1, 2 or 4).
@@ -1855,10 +1647,6 @@ impl SpreadMemo {
         self.delta_count = Vec::new();
         self.dirty = EpochSet::new();
         self.delta = EpochSet::new();
-        self.bmark = EpochSet::new();
-        self.queue = Vec::new();
-        self.abuf = Vec::new();
-        self.bbuf = Vec::new();
         before.saturating_sub(self.approx_bytes())
     }
 
@@ -1870,9 +1658,6 @@ impl SpreadMemo {
             + self.dirty.approx_bytes()
             + self.delta.approx_bytes()
             + self.delta_count.capacity() * std::mem::size_of::<u32>()
-            + self.bmark.approx_bytes()
-            + (self.queue.capacity() + self.abuf.capacity() + self.bbuf.capacity())
-                * std::mem::size_of::<NodeId>()
     }
 
     /// Serializes the memo: validity flags and values, plus the adaptive
@@ -2018,6 +1803,112 @@ impl SpreadMemo {
 mod tests {
     use super::*;
     use crate::adn::AdnGraph;
+
+    /// Collects the reverse reachability set of `sink` while ignoring the
+    /// direct in-edges from `skip_direct` (cleared into `out`). This is the
+    /// "old ancestors" side `B` of the sink-delta patch: the nodes that could
+    /// already reach `sink` without this batch's fresh in-edges. Only the hop
+    /// `skip_direct[i] → sink` itself is skipped; a skipped source discovered
+    /// through a longer path is still collected.
+    fn reverse_reach_excluding<G: OutGraph + InGraph>(
+        g: &G,
+        sink: NodeId,
+        skip_direct: &[NodeId],
+        scratch: &mut ReachScratch,
+        out: &mut Vec<NodeId>,
+    ) {
+        scratch.begin(g.node_index_bound().max(sink.index() + 1));
+        scratch.visited[sink.index()] = scratch.epoch;
+        scratch.queue.push(sink);
+        let ReachScratch {
+            visited,
+            epoch,
+            queue,
+            ..
+        } = scratch;
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            let at_sink = v == sink;
+            g.for_each_in(v, |u| {
+                if at_sink && skip_direct.contains(&u) {
+                    return;
+                }
+                let slot = &mut visited[u.index()];
+                if *slot != *epoch {
+                    *slot = *epoch;
+                    queue.push(u);
+                }
+            });
+        }
+        out.clear();
+        out.extend_from_slice(queue);
+    }
+
+    /// Collects the union of the reverse reachability sets of `starts` into
+    /// `out` (cleared first) — one multi-source BFS, deduplicated by the
+    /// scratch epoch: the scalar oracle for a lane of the bit-parallel
+    /// reverse traversal, and the `A` side of the sink-delta patch.
+    fn reverse_reach_multi_collect<G: OutGraph + InGraph>(
+        g: &G,
+        starts: &[NodeId],
+        scratch: &mut ReachScratch,
+        out: &mut Vec<NodeId>,
+    ) {
+        let max_start = starts.iter().map(|s| s.index() + 1).max().unwrap_or(0);
+        scratch.begin(g.node_index_bound().max(max_start));
+        for &s in starts {
+            let slot = &mut scratch.visited[s.index()];
+            if *slot != scratch.epoch {
+                *slot = scratch.epoch;
+                scratch.queue.push(s);
+            }
+        }
+        let ReachScratch {
+            visited,
+            epoch,
+            queue,
+            ..
+        } = scratch;
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            g.for_each_in(v, |u| {
+                let slot = &mut visited[u.index()];
+                if *slot != *epoch {
+                    *slot = *epoch;
+                    queue.push(u);
+                }
+            });
+        }
+        out.clear();
+        out.extend_from_slice(queue);
+    }
+
+    /// Scalar oracle for [`SpreadMemo::apply_old_sink_deltas_wide`]: one
+    /// pre-existing sink's exact delta via two reverse BFSs — every node in
+    /// `A` (reaches a fresh in-edge source) but not in `B` (reaches the
+    /// sink without the fresh direct hops) gains `+1`.
+    fn apply_old_sink_delta(
+        memo: &mut SpreadMemo,
+        g: &AdnGraph,
+        sink: NodeId,
+        fresh_sources: &[NodeId],
+        scratch: &mut ReachScratch,
+    ) {
+        let mut b = Vec::new();
+        reverse_reach_excluding(g, sink, fresh_sources, scratch, &mut b);
+        let b: crate::hash::FxHashSet<NodeId> = b.into_iter().collect();
+        let mut a = Vec::new();
+        reverse_reach_multi_collect(g, fresh_sources, scratch, &mut a);
+        for &x in &a {
+            if !b.contains(&x) {
+                memo.add_delta_n(x, 1);
+            }
+        }
+    }
 
     fn line_graph(n: u32) -> AdnGraph {
         // 0 -> 1 -> 2 -> ... -> n-1
@@ -2201,7 +2092,11 @@ mod tests {
         // Next batch: a novel edge 2 -> 3 dirties ancestors(2) = {0,1,2}.
         g.add_edge(NodeId(2), NodeId(3));
         memo.begin_batch(g.node_index_bound());
-        memo.mark_ancestors_dirty(&g, NodeId(2));
+        let mut ancestors = Vec::new();
+        reverse_reach_collect(&g, NodeId(2), &mut s, &mut ancestors);
+        for &a in &ancestors {
+            memo.mark_dirty(a);
+        }
         assert_eq!(memo.dirty_len(), 3);
         for i in 0..3u32 {
             assert_eq!(memo.lookup(NodeId(i)), None, "dirty nodes must recompute");
@@ -2216,26 +2111,6 @@ mod tests {
         assert_eq!(memo.lookup(NodeId(3)), None, "never stored");
         memo.clear_cache();
         assert_eq!(memo.lookup(NodeId(0)), None, "cleared cache serves nothing");
-    }
-
-    #[test]
-    fn mark_ancestors_dirty_prunes_at_dirty_nodes() {
-        // Diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3.
-        let mut g = AdnGraph::new();
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(0), NodeId(2));
-        g.add_edge(NodeId(1), NodeId(3));
-        g.add_edge(NodeId(2), NodeId(3));
-        let mut memo = SpreadMemo::new();
-        memo.begin_batch(g.node_index_bound());
-        memo.mark_ancestors_dirty(&g, NodeId(1));
-        assert_eq!(memo.dirty_len(), 2); // {1, 0}
-                                         // Marking from 3 prunes at the already-dirty 1 but still reaches 2.
-        memo.mark_ancestors_dirty(&g, NodeId(3));
-        assert_eq!(memo.dirty_len(), 4);
-        for i in 0..4u32 {
-            assert!(memo.is_dirty(NodeId(i)));
-        }
     }
 
     #[test]
@@ -2310,14 +2185,14 @@ mod tests {
     }
 
     #[test]
-    fn reach_count_batch64_matches_scalar_counts() {
+    fn reach_count_batch_matches_scalar_counts() {
         for seed in 0..20u64 {
             let g = random_graph(seed, 40, 90);
             let sources: Vec<NodeId> = (0..40).map(NodeId).collect();
             let mut s = ReachScratch::new();
             for chunk in sources.chunks(BATCH_LANES) {
                 let mut counts = vec![0u64; chunk.len()];
-                reach_count_batch64(&g, chunk, &mut s, &mut counts);
+                reach_count_batch::<1, _>(&g, chunk, SweepDirection::TopDown, &mut s, &mut counts);
                 for (&src, &got) in chunk.iter().zip(&counts) {
                     assert_eq!(got, reach_count(&g, src, &mut s), "seed {seed} src {src:?}");
                 }
@@ -2326,23 +2201,23 @@ mod tests {
     }
 
     #[test]
-    fn reach_count_batch64_handles_lane_edges() {
+    fn reach_count_batch_handles_lane_edges() {
         let g = line_graph(4);
         let mut s = ReachScratch::new();
         // Empty batch is a no-op.
-        reach_count_batch64(&g, &[], &mut s, &mut []);
+        reach_count_batch::<1, _>(&g, &[], SweepDirection::TopDown, &mut s, &mut []);
         // Duplicate sources occupy independent lanes with equal counts; a
         // 64-lane full batch exercises the top bit.
         let sources: Vec<NodeId> = (0..64).map(|i| NodeId(i % 4)).collect();
         let mut counts = vec![0u64; 64];
-        reach_count_batch64(&g, &sources, &mut s, &mut counts);
+        reach_count_batch::<1, _>(&g, &sources, SweepDirection::TopDown, &mut s, &mut counts);
         for (i, &c) in counts.iter().enumerate() {
             assert_eq!(c, 4 - (i as u64 % 4));
         }
     }
 
     #[test]
-    fn reverse_batch64_lanes_match_multi_collect() {
+    fn reverse_batch_lanes_match_multi_collect() {
         for seed in 0..20u64 {
             let g = random_graph(seed.wrapping_add(100), 30, 55);
             let lane_sources: Vec<Vec<NodeId>> = (0..10)
@@ -2355,13 +2230,14 @@ mod tests {
             let lanes: Vec<&[NodeId]> = lane_sources.iter().map(Vec::as_slice).collect();
             let mut s = ReachScratch::new();
             let mut per_node: Vec<u64> = vec![0; 64];
-            reverse_reach_batch64(
+            reverse_reach_batch::<1, _>(
                 &g,
                 &lanes,
-                |_, _| 0,
+                |_, _| [0],
+                SweepDirection::TopDown,
                 &mut s,
                 |n, mask| {
-                    per_node[n.index()] = mask;
+                    per_node[n.index()] = mask[0];
                 },
             );
             let mut expect = Vec::new();
@@ -2400,11 +2276,11 @@ mod tests {
             let mut seq = SpreadMemo::new();
             seq.begin_batch(bound);
             for (sink, fresh) in &sinks {
-                seq.apply_old_sink_delta(&g, *sink, fresh, &mut s);
+                apply_old_sink_delta(&mut seq, &g, *sink, fresh, &mut s);
             }
             let mut batched = SpreadMemo::new();
             batched.begin_batch(bound);
-            batched.apply_old_sink_deltas_batch64(&g, &sinks, &mut s);
+            batched.apply_old_sink_deltas_wide(&g, &sinks, 1, SweepDirection::TopDown, &mut s);
             for n in 0..bound as u32 {
                 assert_eq!(
                     batched.delta_of(NodeId(n)),
@@ -2416,7 +2292,7 @@ mod tests {
     }
 
     #[test]
-    fn batch64_epoch_wrap_cannot_alias_marks() {
+    fn batch_epoch_wrap_cannot_alias_marks() {
         let g = line_graph(5);
         let mut s = ReachScratch::new();
         s.force_epochs_near_wrap();
@@ -2424,7 +2300,7 @@ mod tests {
         for _ in 0..5 {
             // Repeated calls across the wrap keep answers exact.
             let mut counts = [0u64; 2];
-            reach_count_batch64(&g, &sources, &mut s, &mut counts);
+            reach_count_batch::<1, _>(&g, &sources, SweepDirection::TopDown, &mut s, &mut counts);
             assert_eq!(counts, [5, 3]);
             let mut out = Vec::new();
             reverse_reach_union_ordered(&g, &[NodeId(4)], &mut s, &mut out);
@@ -2609,7 +2485,7 @@ mod tests {
             let mut seq = SpreadMemo::new();
             seq.begin_batch(bound);
             for (sink, fresh) in &sinks {
-                seq.apply_old_sink_delta(&g, *sink, fresh, &mut s);
+                apply_old_sink_delta(&mut seq, &g, *sink, fresh, &mut s);
             }
             for words in [1usize, 2, 4] {
                 for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
@@ -2641,7 +2517,14 @@ mod tests {
         let lanes: Vec<&[NodeId]> = seeds.iter().map(std::slice::from_ref).collect();
         let mut s = ReachScratch::new();
         let mut reached = 0u64;
-        reverse_reach_batch64(&g, &lanes, |_, _| 0, &mut s, |_, _| reached += 1);
+        reverse_reach_batch::<1, _>(
+            &g,
+            &lanes,
+            |_, _| [0],
+            SweepDirection::TopDown,
+            &mut s,
+            |_, _| reached += 1,
+        );
         assert_eq!(reached, n as u64, "every path node is some lane's ancestor");
         let (pushes, compactions, moved) = s.drain_stats();
         assert!(
@@ -2680,9 +2563,9 @@ mod tests {
         memo.begin_batch(4);
         memo.store(NodeId(0), 5);
         memo.begin_batch(4);
-        memo.add_delta(NodeId(0));
-        memo.add_delta(NodeId(0));
-        memo.add_delta(NodeId(1));
+        memo.add_delta_n(NodeId(0), 1);
+        memo.add_delta_n(NodeId(0), 1);
+        memo.add_delta_n(NodeId(1), 1);
         assert_eq!(memo.delta_of(NodeId(0)), 2);
         assert_eq!(memo.delta_of(NodeId(2)), 0);
         assert_eq!(memo.lookup_patched(NodeId(0)), Some(7));
@@ -2818,6 +2701,23 @@ mod tests {
         assert_eq!(memo.lookup(NodeId(5)), None);
         memo.store(NodeId(5), 7);
         assert_eq!(memo.lookup(NodeId(5)), Some(7));
+    }
+
+    #[test]
+    fn cover_accounting_bills_its_word_array_and_iterates_canonically() {
+        // A cover holding one node at index 1023 needs exactly 16 words.
+        let mut cover = CoverSet::new();
+        cover.insert(NodeId(1023));
+        assert!(cover.approx_bytes() >= 16 * 8, "word array not billed");
+        assert!(
+            cover.approx_bytes() <= 4 * 16 * 8 + 64,
+            "{} bytes billed for 16 words",
+            cover.approx_bytes()
+        );
+        // Covers iterate (and therefore checkpoint) in canonical order.
+        cover.insert(NodeId(3));
+        let order: Vec<u32> = cover.iter().map(|n| n.0).collect();
+        assert_eq!(order, vec![3, 1023]);
     }
 
     #[test]

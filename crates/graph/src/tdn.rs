@@ -1483,6 +1483,27 @@ mod tests {
     }
 
     #[test]
+    fn expiry_storm_cycles_reuse_blocks_and_keep_accounted_bytes() {
+        // A storm recycles blocks; the next identical cycle draws them
+        // from the free lists, so neither the arena nor the billed bytes
+        // grow.
+        let mut g = TdnGraph::new();
+        for i in 1..=64u32 {
+            g.add_edge(NodeId(0), NodeId(i), 1);
+        }
+        g.advance_to(1);
+        let after_storm = g.approx_bytes();
+        let (slots, recycled) = g.arena_stats();
+        assert!(recycled > 0, "expiry storm recycled no arena blocks");
+        for i in 1..=64u32 {
+            g.add_edge(NodeId(0), NodeId(i), 1);
+        }
+        g.advance_to(2);
+        assert_eq!(g.arena_stats().0, slots, "second cycle grew the arena");
+        assert_eq!(g.approx_bytes(), after_storm);
+    }
+
+    #[test]
     fn sectioned_snapshot_round_trip_matches_element_wise() {
         // Same shape as the element-wise round-trip test: pending
         // expirations, partially-dead lists, multi-edges, undrained dirty

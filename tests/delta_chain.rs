@@ -5,7 +5,7 @@
 //! 1. **Bit-identical chain restore.** Restoring from a base + delta +
 //!    delta chain must equal both a direct (single base) save/restore and
 //!    an uninterrupted run — per-step solutions *and* oracle-call tallies
-//!    — across `SpreadMode` × `TraversalKind` × `TDN_THREADS` ∈ {1, 4},
+//!    — across `SpreadMode` × `TDN_THREADS` ∈ {1, 4},
 //!    on randomized schedules and cut points.
 //! 2. **Actionable corruption reports.** A bit flip inside any section of
 //!    a sectioned payload surfaces as
@@ -20,7 +20,6 @@
 //!    `golden_checkpoint.rs`; this suite pins the manifest view).
 
 use proptest::prelude::*;
-use tdn::algorithms::TraversalKind;
 use tdn::prelude::*;
 
 /// One scheduled edge: (step, src, dst, lifetime).
@@ -45,10 +44,8 @@ fn cfg() -> TrackerConfig {
     TrackerConfig::new(3, 0.2, 8)
 }
 
-fn make_tracker(mode: SpreadMode, traversal: TraversalKind) -> SieveAdnTracker {
-    SieveAdnTracker::new(&cfg())
-        .with_spread_mode(mode)
-        .with_traversal(traversal)
+fn make_tracker(mode: SpreadMode) -> SieveAdnTracker {
+    SieveAdnTracker::new(&cfg()).with_spread_mode(mode)
 }
 
 /// Uninterrupted reference run: per-step solutions and final tally.
@@ -125,7 +122,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Chain restore ≡ direct restore ≡ uninterrupted run, across the
-    /// engine's full configuration matrix.
+    /// engine's full configuration matrix: both exact spread modes, each
+    /// on its one traversal path, at 1 and 4 threads.
     #[test]
     fn chain_restore_is_bit_identical_across_mode_traversal_threads(
         evs in schedule(), a in 0u64..17, b in 0u64..17, c in 0u64..17
@@ -135,29 +133,27 @@ proptest! {
         let h = horizon(&evs) + 1;
         let cuts = (cuts[0].min(h), cuts[1].min(h), cuts[2].min(h));
         for mode in [SpreadMode::Incremental, SpreadMode::FullRecompute] {
-            for traversal in [TraversalKind::Scalar, TraversalKind::Batch64] {
-                for threads in [1usize, 4] {
-                    let (reference, chained, direct) = exec::with_threads(threads, || {
-                        let reference = run_straight(make_tracker(mode, traversal), &evs);
-                        let chained = run_chained(make_tracker(mode, traversal), &evs, cuts);
-                        let direct = run_direct(make_tracker(mode, traversal), &evs, cuts.2);
-                        (reference, chained, direct)
-                    });
-                    let chained = chained?;
-                    let direct = direct?;
-                    prop_assert_eq!(
-                        &chained.0, &reference.0,
-                        "chain diverged: mode {:?}, traversal {:?}, {} threads, cuts {:?}",
-                        mode, traversal, threads, cuts
-                    );
-                    prop_assert_eq!(
-                        chained.1, reference.1,
-                        "chain oracle tally diverged: mode {:?}, traversal {:?}, {} threads",
-                        mode, traversal, threads
-                    );
-                    prop_assert_eq!(&direct.0, &reference.0);
-                    prop_assert_eq!(direct.1, reference.1);
-                }
+            for threads in [1usize, 4] {
+                let (reference, chained, direct) = exec::with_threads(threads, || {
+                    let reference = run_straight(make_tracker(mode), &evs);
+                    let chained = run_chained(make_tracker(mode), &evs, cuts);
+                    let direct = run_direct(make_tracker(mode), &evs, cuts.2);
+                    (reference, chained, direct)
+                });
+                let chained = chained?;
+                let direct = direct?;
+                prop_assert_eq!(
+                    &chained.0, &reference.0,
+                    "chain diverged: mode {:?}, {} threads, cuts {:?}",
+                    mode, threads, cuts
+                );
+                prop_assert_eq!(
+                    chained.1, reference.1,
+                    "chain oracle tally diverged: mode {:?}, {} threads",
+                    mode, threads
+                );
+                prop_assert_eq!(&direct.0, &reference.0);
+                prop_assert_eq!(direct.1, reference.1);
             }
         }
     }

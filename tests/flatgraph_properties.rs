@@ -1,12 +1,15 @@
-//! Property suite for the flat graph core (PR 5): epoch wrap-around in the
+//! Property suite for the flat graph core: epoch wrap-around in the
 //! stamped scratch structures, adjacency-arena block reuse under
-//! same-bucket expiry storms, and traversal-backend bit-identity — all
-//! exercised at both [`SpreadMode`]s and `TDN_THREADS` ∈ {1, 4}.
+//! same-bucket expiry storms, spread-mode bit-identity at both exact
+//! [`SpreadMode`]s and `TDN_THREADS` ∈ {1, 4}, and the wide-lane
+//! traversal kernels on storm-shaped decaying graphs.
 
 use proptest::prelude::*;
-use tdn::graph::{reach_count, AdjPool, EpochSet, NodeId as GNodeId, ReachScratch, TdnGraph};
+use tdn::graph::{
+    reach_count, reach_count_batch_wide, reverse_reach_batch_wide, reverse_reach_collect, AdjPool,
+    EpochSet, NodeId as GNodeId, ReachScratch, SweepDirection, TdnGraph,
+};
 use tdn::prelude::*;
-use tdn_core::{SweepDirection, TraversalKind};
 
 /// One scheduled edge: (step, src, dst, lifetime).
 type Ev = (u8, u8, u8, u8);
@@ -33,16 +36,9 @@ fn batch_at(evs: &[Ev], t: Time) -> Vec<TimedEdge> {
         .collect()
 }
 
-fn run_hist(
-    evs: &[Ev],
-    mode: SpreadMode,
-    traversal: TraversalKind,
-    threads: usize,
-) -> (Vec<Solution>, u64) {
+fn run_hist(evs: &[Ev], mode: SpreadMode, threads: usize) -> (Vec<Solution>, u64) {
     tdn::parallel::with_threads(threads, || {
-        let mut tracker = HistApprox::new(&TrackerConfig::new(2, 0.2, 6))
-            .with_spread_mode(mode)
-            .with_traversal(traversal);
+        let mut tracker = HistApprox::new(&TrackerConfig::new(2, 0.2, 6)).with_spread_mode(mode);
         let horizon = evs.iter().map(|e| e.0).max().unwrap_or(0) as Time;
         let mut sols = Vec::new();
         for t in 0..=horizon {
@@ -55,46 +51,60 @@ fn run_hist(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Under expiry storms, every (mode, backend, thread-count) cell must
-    /// produce the same solutions and oracle tallies — the flat core and
-    /// the 64-lane backend change how answers are computed, never what
-    /// they are.
+    /// Under expiry storms, every (spread mode, thread-count) cell must
+    /// produce the same solutions and oracle tallies as the single-threaded
+    /// full-recompute reference — the flat core and the wide-lane engine
+    /// change how answers are computed, never what they are.
     #[test]
     fn storm_streams_are_backend_and_thread_invariant(evs in storm_schedule()) {
-        let reference = run_hist(&evs, SpreadMode::FullRecompute, TraversalKind::Scalar, 1);
+        let reference = run_hist(&evs, SpreadMode::FullRecompute, 1);
         for mode in [SpreadMode::Incremental, SpreadMode::FullRecompute] {
-            for traversal in [TraversalKind::Batch64, TraversalKind::Scalar] {
-                for threads in [1usize, 4] {
-                    let got = run_hist(&evs, mode, traversal, threads);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "mode {:?} traversal {:?} threads {}", mode, traversal, threads
-                    );
-                }
+            for threads in [1usize, 4] {
+                let got = run_hist(&evs, mode, threads);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "mode {:?} threads {}", mode, threads
+                );
             }
         }
     }
 
-    /// The wide-lane engine's full pinned grid — every shipped label width
-    /// crossed with both sweep policies, at 1 and 4 threads — must be
-    /// bit-identical to the scalar single-threaded oracle on the same
-    /// storm streams, and so must the adaptive `Wide` default.
+    /// The wide-lane kernels over a decaying graph whose adjacency lists
+    /// carry lazily-dead entries: after every step of a storm schedule,
+    /// every label width × sweep direction must give per-lane forward
+    /// counts and reverse sets equal to scalar BFS.
     #[test]
     fn storm_streams_are_width_and_direction_invariant(evs in storm_schedule()) {
-        let reference = run_hist(&evs, SpreadMode::FullRecompute, TraversalKind::Scalar, 1);
-        let mut grid = vec![TraversalKind::Wide];
-        for lanes in [64usize, 128, 256] {
-            for direction in [SweepDirection::TopDown, SweepDirection::Auto] {
-                grid.push(TraversalKind::Fixed { lanes, direction });
+        let horizon = evs.iter().map(|e| e.0).max().unwrap_or(0) as Time;
+        let sources: Vec<GNodeId> = (0..10).map(GNodeId).collect();
+        let lanes: Vec<&[GNodeId]> = sources.iter().map(std::slice::from_ref).collect();
+        let mut g = TdnGraph::new();
+        let mut s = ReachScratch::new();
+        for t in 0..=horizon {
+            g.advance_to(t);
+            for e in batch_at(&evs, t) {
+                g.add_edge(e.src, e.dst, e.lifetime);
             }
-        }
-        for traversal in grid {
-            for threads in [1usize, 4] {
-                let got = run_hist(&evs, SpreadMode::Incremental, traversal, threads);
-                prop_assert_eq!(
-                    &got, &reference,
-                    "traversal {:?} threads {}", traversal, threads
-                );
+            let counts: Vec<u64> = sources.iter().map(|&v| reach_count(&g, v, &mut s)).collect();
+            let mut masks = vec![0u64; 10];
+            let mut one = Vec::new();
+            for (i, &v) in sources.iter().enumerate() {
+                reverse_reach_collect(&g, v, &mut s, &mut one);
+                for n in &one {
+                    masks[n.index()] |= 1 << i;
+                }
+            }
+            for words in [1usize, 2, 4] {
+                for dir in [SweepDirection::TopDown, SweepDirection::Auto] {
+                    let mut got = vec![0u64; sources.len()];
+                    reach_count_batch_wide(&g, &sources, words, dir, &mut s, &mut got);
+                    prop_assert_eq!(&got, &counts, "t {} words {} {:?}", t, words, dir);
+                    let mut got = vec![0u64; 10];
+                    reverse_reach_batch_wide(&g, &lanes, words, dir, &mut s, |n, m| {
+                        got[n.index()] = m[0];
+                    });
+                    prop_assert_eq!(&got, &masks, "t {} words {} {:?}", t, words, dir);
+                }
             }
         }
     }
@@ -125,7 +135,13 @@ proptest! {
             }
             let sources: Vec<GNodeId> = (0..24).map(GNodeId).collect();
             let mut batch_counts = vec![0u64; 24];
-            tdn::graph::reach_count_batch64(&g, &sources, &mut wrapped, &mut batch_counts);
+            tdn::graph::reach_count_batch::<1, _>(
+                &g,
+                &sources,
+                SweepDirection::TopDown,
+                &mut wrapped,
+                &mut batch_counts,
+            );
             for (n, &c) in batch_counts.iter().enumerate() {
                 prop_assert_eq!(c, reach_count(&g, GNodeId(n as u32), &mut fresh));
             }

@@ -14,7 +14,6 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use tdn::algorithms::TraversalKind;
 use tdn::prelude::*;
 
 fn golden_dir() -> PathBuf {
@@ -167,7 +166,7 @@ fn tracker_solutions_match_golden() {
 /// marked too wide (or a delta patch that misses a node) leaves every
 /// answer intact but moves `cache_hits`/`cache_misses` and the
 /// patched/rebuilt split.
-fn engine_tallies_actual(traversal: TraversalKind) -> String {
+fn engine_tallies_actual() -> String {
     let cfg = TrackerConfig::new(3, 0.2, 8);
     let schedule = golden_schedule();
     let mut out = String::new();
@@ -190,12 +189,10 @@ fn engine_tallies_actual(traversal: TraversalKind) -> String {
             s.shed_fallback,
         );
     };
-    let mut sieve = SieveAdnTracker::new(&cfg).with_traversal(traversal);
-    let mut basic = BasicReduction::new(&cfg).with_traversal(traversal);
-    let mut hist = HistApprox::new(&cfg).with_traversal(traversal);
-    let mut refeed = HistApprox::new(&TrackerConfig::new(2, 0.15, 10))
-        .with_refeed()
-        .with_traversal(traversal);
+    let mut sieve = SieveAdnTracker::new(&cfg);
+    let mut basic = BasicReduction::new(&cfg);
+    let mut hist = HistApprox::new(&cfg);
+    let mut refeed = HistApprox::new(&TrackerConfig::new(2, 0.15, 10)).with_refeed();
     for (t, batch) in &schedule {
         sieve.step(*t, batch);
         basic.step(*t, batch);
@@ -209,12 +206,9 @@ fn engine_tallies_actual(traversal: TraversalKind) -> String {
     out
 }
 
-/// Every traversal backend must reproduce the same engine tallies.
 #[test]
 fn engine_tallies_match_golden() {
-    for traversal in [TraversalKind::Wide, TraversalKind::Scalar] {
-        assert_matches_golden("engine_tallies.txt", &engine_tallies_actual(traversal));
-    }
+    assert_matches_golden("engine_tallies.txt", &engine_tallies_actual());
 }
 
 /// Sketch estimates on the Fig. 2 worked example (the paper's running
