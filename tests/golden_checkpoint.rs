@@ -1,16 +1,16 @@
-//! Golden checkpoint fixtures: format-v2 `.tdnc` files committed to the
-//! repo (generated before the flat-graph-core refactor) must keep
-//! restoring cleanly, and the restored tracker must continue the stream
-//! bit-identically to an uninterrupted run of today's code.
+//! Golden checkpoint fixtures: `.tdnc` files written by older builds must
+//! keep restoring cleanly, and the restored tracker must continue the
+//! stream bit-identically to an uninterrupted run of today's code.
 //!
-//! This pins the *byte format* across internal data-structure changes:
-//! adjacency arenas, cover-set backends, and traversal strategies may all
-//! change, but `write_snapshot`/`read_snapshot` must keep speaking the
-//! exact serialized shape (order-sensitive structures verbatim, covers in
-//! canonical sorted order) that older checkpoints used.
+//! Four fixtures are format 2 (a flat, monolithic payload, written before
+//! the flat-graph-core refactor); `checkpoint_hist_approx_v3_state.tdnc`
+//! is format 3 with the whole flat HistApprox state in one `"state"`
+//! section, the layout format-3 builds wrote for every tracker but
+//! SieveADN. Both layouts restore through the read-only legacy decoders
+//! (`Persist::read_legacy`); no writer for either exists any more.
 //!
-//! Regenerate with `UPDATE_GOLDEN=1 cargo test -q golden_checkpoint` —
-//! only legitimate when the checkpoint format version itself is bumped.
+//! The fixtures are frozen: nothing regenerates them, and CI fails when a
+//! test run changes a byte under `tests/golden`.
 
 use std::path::PathBuf;
 use tdn::prelude::*;
@@ -53,22 +53,15 @@ fn run_tail<T: InfluenceTracker>(tracker: &mut T, from: Time) -> (Vec<Solution>,
     (sols, tracker.oracle_calls())
 }
 
-fn check_fixture<T, F>(name: &str, make: F)
+fn check_fixture<T, F>(name: &str, format_version: u32, make: F)
 where
     T: InfluenceTracker + Persist,
     F: Fn() -> T,
 {
     let path = fixture_path(name);
-    if std::env::var("UPDATE_GOLDEN").as_deref() == Ok("1") {
-        let mut live = make();
-        for t in 0..CUT {
-            live.step(t, &batch_at(t));
-        }
-        save_checkpoint(&path, &live, &cfg(), CUT).expect("write fixture");
-        eprintln!("regenerated {}", path.display());
-    }
     let manifest = read_manifest(&path).expect("fixture manifest readable");
     assert_eq!(manifest.step, CUT, "{name}: fixture cut drifted");
+    assert_eq!(manifest.format_version, format_version, "{name}: format drifted");
     let (resume, mut warm): (u64, T) =
         load_checkpoint(&path, &cfg()).expect("pre-refactor checkpoint restores");
     assert_eq!(resume, CUT);
@@ -86,28 +79,42 @@ where
 
 #[test]
 fn sieve_adn_incremental_fixture_restores() {
-    check_fixture("checkpoint_sieve_adn_incremental.tdnc", || {
+    check_fixture("checkpoint_sieve_adn_incremental.tdnc", 2, || {
         SieveAdnTracker::new(&cfg())
     });
 }
 
 #[test]
 fn hist_approx_incremental_fixture_restores() {
-    check_fixture("checkpoint_hist_approx_incremental.tdnc", || {
+    check_fixture("checkpoint_hist_approx_incremental.tdnc", 2, || {
         HistApprox::new(&cfg())
     });
 }
 
 #[test]
 fn hist_approx_full_recompute_fixture_restores() {
-    check_fixture("checkpoint_hist_approx_full.tdnc", || {
+    check_fixture("checkpoint_hist_approx_full.tdnc", 2, || {
         HistApprox::new(&cfg()).with_spread_mode(SpreadMode::FullRecompute)
     });
 }
 
 #[test]
 fn basic_reduction_incremental_fixture_restores() {
-    check_fixture("checkpoint_basic_reduction_incremental.tdnc", || {
+    check_fixture("checkpoint_basic_reduction_incremental.tdnc", 2, || {
         BasicReduction::new(&cfg())
+    });
+}
+
+/// Format 3 as HistApprox wrote it before it had sections of its own: the
+/// whole flat state in a single `"state"` section.
+#[test]
+fn hist_approx_v3_state_fixture_restores() {
+    let bytes = std::fs::read(fixture_path("checkpoint_hist_approx_v3_state.tdnc")).unwrap();
+    let payload = &bytes[64..bytes.len() - 8];
+    let toc = codec::SectionReader::parse(payload).expect("container parses");
+    let names: Vec<&str> = toc.toc().entries().iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(names, ["state"], "fixture must hold the one flat section");
+    check_fixture("checkpoint_hist_approx_v3_state.tdnc", 3, || {
+        HistApprox::new(&cfg())
     });
 }
