@@ -13,7 +13,7 @@
 //! joins at index `L` (Fig. 4(b)) — implemented with a `VecDeque` rotate.
 
 use crate::config::TrackerConfig;
-use crate::sieve_adn::{SieveAdn, SpreadMode};
+use crate::sieve_adn::{adopt, shared_tallies, SieveAdn, SpreadMode};
 use crate::tracker::{InfluenceTracker, Solution};
 use std::collections::VecDeque;
 use tdn_graph::{Lifetime, SpreadStats, SpreadStatsSnapshot, Time};
@@ -25,6 +25,10 @@ pub struct BasicReduction {
     cfg: TrackerConfig,
     /// `instances[i]` is `A_{i+1}`; front answers the current step.
     instances: VecDeque<SieveAdn>,
+    /// Creation serial of `instances[0]`. Instances are created in window
+    /// order, so `instances[i]` has serial `first_serial + i` (its
+    /// checkpoint name, see [`Self::write_sections`]).
+    first_serial: u64,
     counter: OracleCounter,
     /// Spread-maintenance mode applied to every instance (current and
     /// future — `shift` keeps minting them).
@@ -35,9 +39,9 @@ pub struct BasicReduction {
     /// The last step's answer, kept because the answering instance `A_1`
     /// is destroyed by the post-query shift. Serves the standing-query
     /// read path ([`crate::TrackerEngine::query`]). Deliberately *not*
-    /// checkpointed — the snapshot format predates it and restored
-    /// servers republish from their first replayed step anyway; a
-    /// freshly restored tracker falls back to the window head.
+    /// checkpointed — restored servers republish from their first
+    /// replayed step anyway; a freshly restored tracker falls back to the
+    /// window head.
     last_solution: Option<Solution>,
 }
 
@@ -62,6 +66,7 @@ impl BasicReduction {
         BasicReduction {
             cfg: cfg.clone(),
             instances,
+            first_serial: 0,
             counter,
             mode,
             spread_stats,
@@ -117,26 +122,73 @@ impl BasicReduction {
         self.instances.iter().map(|i| i.approx_bytes()).sum()
     }
 
-    /// Serializes the tracker for checkpointing: config, oracle tally,
-    /// spread mode and engine tallies, the last processed tick, and all
-    /// `L` staggered instances in window order (`A_1` first).
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        self.cfg.write_snapshot(w);
+    /// Serializes the tracker for checkpointing as named sections:
+    ///
+    /// - `meta`: config, oracle tally, spread mode, engine tallies (shed
+    ///   counters included), the last processed tick, and the creation
+    ///   serial of `A_1`.
+    /// - `i<serial>.*`: each of the `L` instances
+    ///   ([`SieveAdn::write_sections`]), `A_1` first.
+    ///
+    /// Instances are named by creation serial, never by window position:
+    /// every step shifts the window, and a section whose name and
+    /// generation counter match the parent save is not serialized at all,
+    /// so a position-keyed name could resolve to another instance's bytes.
+    pub fn write_sections(&self, sink: &mut codec::SectionSink) {
+        let mut w = codec::Writer::new();
+        self.cfg.write_snapshot(&mut w);
         w.put_u64(self.counter.get());
-        self.mode.write_snapshot(w);
-        self.spread_stats.snapshot().write_snapshot(w);
+        self.mode.write_snapshot(&mut w);
+        self.spread_stats.snapshot().write_snapshot_v3(&mut w);
         w.put_bool(self.last_t.is_some());
         w.put_u64(self.last_t.unwrap_or(0));
-        w.put_len(self.instances.len());
-        for inst in &self.instances {
-            inst.write_snapshot(w);
+        w.put_u64(self.first_serial);
+        sink.put("meta", w.into_vec());
+        for (serial, inst) in (self.first_serial..).zip(&self.instances) {
+            inst.write_sections(sink, &format!("i{serial}."));
         }
     }
 
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. All
-    /// restored instances bill one fresh counter seeded with the saved
-    /// tally, exactly like the interrupted run's shared counter (the
-    /// engine tally is shared and re-seeded the same way).
+    /// Reconstructs a tracker from the sections [`Self::write_sections`]
+    /// emitted. All restored instances bill one fresh counter seeded with
+    /// the saved tally, exactly like the interrupted run's shared counter
+    /// (the engine tallies are shared and re-seeded the same way).
+    pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
+        let mut r = map.reader("meta")?;
+        let cfg = TrackerConfig::read_snapshot(&mut r)?;
+        let calls = r.get_u64()?;
+        let mode = SpreadMode::read_snapshot(&mut r)?;
+        let stats_snap = SpreadStatsSnapshot::read_snapshot_v3(&mut r)?;
+        let has_last = r.get_bool()?;
+        let last_raw = r.get_u64()?;
+        let first_serial = r.get_u64()?;
+        r.finish()?;
+        if first_serial.checked_add(cfg.max_lifetime as u64).is_none() {
+            return Err(codec::CodecError::Invalid("BasicReduction serial out of range").into());
+        }
+        let (counter, spread_stats) = shared_tallies(calls, &stats_snap);
+        // No `with_capacity(L)`: `L` is untrusted input until every
+        // instance section has been found.
+        let mut instances = VecDeque::new();
+        for serial in (first_serial..).take(cfg.max_lifetime as usize) {
+            let inst = SieveAdn::read_sections(map, &format!("i{serial}."), counter.clone())?;
+            instances.push_back(adopt(inst, mode, &spread_stats)?);
+        }
+        Ok(BasicReduction {
+            cfg,
+            instances,
+            first_serial,
+            counter,
+            mode,
+            spread_stats,
+            last_t: has_last.then_some(last_raw),
+            last_solution: None,
+        })
+    }
+
+    /// Decodes the flat (format-2) tracker layout: config, oracle tally,
+    /// spread mode, the eight-field engine tallies, the last tick, then
+    /// all `L` instances in window order. Read only.
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let cfg = TrackerConfig::read_snapshot(r)?;
         let calls = r.get_u64()?;
@@ -150,24 +202,16 @@ impl BasicReduction {
                 "BasicReduction instance count differs from L",
             ));
         }
-        let counter = OracleCounter::new();
-        counter.set(calls);
-        let spread_stats = SpreadStats::new();
-        spread_stats.restore(&stats_snap);
+        let (counter, spread_stats) = shared_tallies(calls, &stats_snap);
         let mut instances = VecDeque::with_capacity(n);
         for _ in 0..n {
-            let mut inst = SieveAdn::read_snapshot(r, counter.clone())?;
-            if inst.spread_mode() != mode {
-                return Err(codec::CodecError::Invalid(
-                    "BasicReduction instance spread mode differs from tracker",
-                ));
-            }
-            inst.share_spread_stats(spread_stats.clone());
-            instances.push_back(inst);
+            let inst = SieveAdn::read_snapshot(r, counter.clone())?;
+            instances.push_back(adopt(inst, mode, &spread_stats)?);
         }
         Ok(BasicReduction {
             cfg,
             instances,
+            first_serial: 0,
             counter,
             mode,
             spread_stats,
@@ -222,6 +266,7 @@ impl BasicReduction {
     /// `A_L` (Alg. 2 lines 5–7).
     fn shift(&mut self) {
         self.instances.pop_front();
+        self.first_serial += 1;
         self.instances.push_back(SieveAdn::from_config_with(
             &self.cfg,
             self.counter.clone(),

@@ -18,7 +18,7 @@
 //! differ by more than a `(1 − ε)` factor (Definition 4).
 
 use crate::config::TrackerConfig;
-use crate::sieve_adn::{SieveAdn, SpreadMode};
+use crate::sieve_adn::{adopt, shared_tallies, SieveAdn, SpreadMode};
 use crate::tracker::{InfluenceTracker, Solution};
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -31,8 +31,12 @@ pub struct HistApprox {
     cfg: TrackerConfig,
     /// Live TDN `G_t`, used for instance-creation range feeds.
     graph: TdnGraph,
-    /// Active instances keyed by deadline (`= t + current index`).
-    instances: BTreeMap<Time, SieveAdn>,
+    /// Active instances keyed by deadline (`= t + current index`), each
+    /// with its creation serial (its checkpoint name, see
+    /// [`Self::write_sections`]).
+    instances: BTreeMap<Time, (u64, SieveAdn)>,
+    /// Creation serial the next instance gets.
+    next_serial: u64,
     counter: OracleCounter,
     /// Spread-maintenance mode applied to every instance (fresh copies
     /// inherit it via `clone`).
@@ -52,6 +56,7 @@ impl HistApprox {
             cfg: cfg.clone(),
             graph: TdnGraph::new(),
             instances: BTreeMap::new(),
+            next_serial: 0,
             counter: OracleCounter::new(),
             mode: SpreadMode::default(),
             spread_stats: SpreadStats::new(),
@@ -71,7 +76,7 @@ impl HistApprox {
     /// instance (builder form; call before feeding).
     pub fn with_spread_mode(mut self, mode: SpreadMode) -> Self {
         self.mode = mode;
-        for inst in self.instances.values_mut() {
+        for (_, inst) in self.instances.values_mut() {
             inst.set_spread_mode(mode);
         }
         self
@@ -111,39 +116,112 @@ impl HistApprox {
     /// ascending deadline order. Conformance harnesses use this to probe
     /// per-instance sketch pools.
     pub fn instances(&self) -> impl Iterator<Item = (Time, &SieveAdn)> {
-        self.instances.iter().map(|(&d, inst)| (d, inst))
+        self.instances.iter().map(|(&d, (_, inst))| (d, inst))
     }
 
     /// Approximate heap footprint: the compressed instance set plus the
     /// live TDN (Theorem 8's `O(k ε⁻² log² k)` state plus `G_t`).
     pub fn approx_bytes(&self) -> usize {
-        let instances: usize = self.instances.values().map(|i| i.approx_bytes()).sum();
+        let instances: usize = self.instances.values().map(|(_, i)| i.approx_bytes()).sum();
         instances + self.graph.approx_bytes()
     }
 
-    /// Serializes the tracker for checkpointing: config, oracle tally,
-    /// refeed flag, last processed tick, the live TDN `G_t` (expiry-bucket
-    /// order verbatim — it drives backfill feeds), and the histogram's
-    /// instances keyed by deadline.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        self.cfg.write_snapshot(w);
+    /// Serializes the tracker for checkpointing as named sections:
+    ///
+    /// - `meta`: config, oracle tally, spread mode, engine tallies (shed
+    ///   counters included), refeed flag, last processed tick, the next
+    ///   creation serial, and the histogram directory — deadlines
+    ///   ascending, then each instance's serial.
+    /// - `g.*`: the live TDN `G_t` ([`TdnGraph::write_sections`];
+    ///   expiry-bucket order verbatim — it drives backfill feeds).
+    /// - `i<serial>.*`: each instance ([`SieveAdn::write_sections`]).
+    ///
+    /// Instances are named by creation serial, never by deadline. A
+    /// section whose name and generation counter match the parent save is
+    /// not serialized at all, and arena generations are per-arena counters
+    /// that clones copy; a pruned deadline can be re-created by another
+    /// instance, so a deadline-keyed name could resolve to the dead
+    /// instance's bytes. A serial is never reused by the same tracker.
+    pub fn write_sections(&self, sink: &mut codec::SectionSink) {
+        let mut w = codec::Writer::new();
+        self.cfg.write_snapshot(&mut w);
         w.put_u64(self.counter.get());
-        self.mode.write_snapshot(w);
-        self.spread_stats.snapshot().write_snapshot(w);
+        self.mode.write_snapshot(&mut w);
+        self.spread_stats.snapshot().write_snapshot_v3(&mut w);
         w.put_bool(self.refeed);
         w.put_bool(self.last_t.is_some());
         w.put_u64(self.last_t.unwrap_or(0));
-        self.graph.write_snapshot(w);
-        w.put_len(self.instances.len());
-        for (&deadline, inst) in &self.instances {
-            w.put_u64(deadline);
-            inst.write_snapshot(w);
+        w.put_u64(self.next_serial);
+        let deadlines: Vec<u64> = self.instances.keys().copied().collect();
+        let serials: Vec<u64> = self.instances.values().map(|&(s, _)| s).collect();
+        w.put_u64_run(&deadlines);
+        w.put_u64_run(&serials);
+        sink.put("meta", w.into_vec());
+        self.graph.write_sections(sink, "g.");
+        for (serial, inst) in self.instances.values() {
+            inst.write_sections(sink, &format!("i{serial}."));
         }
     }
 
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. Every
-    /// restored instance bills one fresh counter seeded with the saved
-    /// tally, mirroring the interrupted run's shared counter.
+    /// Reconstructs a tracker from the sections [`Self::write_sections`]
+    /// emitted. Every restored instance bills one fresh counter seeded
+    /// with the saved tally, mirroring the interrupted run's shared
+    /// counter (the engine tallies are shared and re-seeded the same way).
+    pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
+        let invalid =
+            |msg: &'static str| codec::SectionError::Codec(codec::CodecError::Invalid(msg));
+        let mut r = map.reader("meta")?;
+        let cfg = TrackerConfig::read_snapshot(&mut r)?;
+        let calls = r.get_u64()?;
+        let mode = SpreadMode::read_snapshot(&mut r)?;
+        let stats_snap = SpreadStatsSnapshot::read_snapshot_v3(&mut r)?;
+        let refeed = r.get_bool()?;
+        let has_last = r.get_bool()?;
+        let last_raw = r.get_u64()?;
+        let next_serial = r.get_u64()?;
+        let deadlines = r.get_u64_run()?;
+        let serials = r.get_u64_run()?;
+        r.finish()?;
+        if deadlines.len() != serials.len() {
+            return Err(invalid("HistApprox directory runs disagree in length"));
+        }
+        let mut distinct = serials.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if distinct.len() != serials.len() || distinct.last().is_some_and(|&s| s >= next_serial) {
+            return Err(invalid(
+                "HistApprox instance serial duplicated or not yet issued",
+            ));
+        }
+        let graph = TdnGraph::read_sections(map, "g.")?;
+        let (counter, spread_stats) = shared_tallies(calls, &stats_snap);
+        let mut instances = BTreeMap::new();
+        let mut prev = graph.now();
+        for (&deadline, &serial) in deadlines.iter().zip(&serials) {
+            if deadline <= prev {
+                return Err(invalid("HistApprox deadlines passed or out of order"));
+            }
+            prev = deadline;
+            let inst = SieveAdn::read_sections(map, &format!("i{serial}."), counter.clone())?;
+            instances.insert(deadline, (serial, adopt(inst, mode, &spread_stats)?));
+        }
+        Ok(HistApprox {
+            cfg,
+            graph,
+            instances,
+            next_serial,
+            counter,
+            mode,
+            spread_stats,
+            refeed,
+            last_t: has_last.then_some(last_raw),
+        })
+    }
+
+    /// Decodes the flat (format-2) tracker layout: config, oracle tally,
+    /// spread mode, the eight-field engine tallies, refeed flag, last
+    /// tick, `G_t`, then `(deadline, instance)` pairs. Read only. Restored
+    /// instances get serials in deadline order.
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let cfg = TrackerConfig::read_snapshot(r)?;
         let calls = r.get_u64()?;
@@ -154,26 +232,18 @@ impl HistApprox {
         let last_raw = r.get_u64()?;
         let graph = TdnGraph::read_snapshot(r)?;
         let n = r.get_len(8)?;
-        let counter = OracleCounter::new();
-        counter.set(calls);
-        let spread_stats = SpreadStats::new();
-        spread_stats.restore(&stats_snap);
+        let (counter, spread_stats) = shared_tallies(calls, &stats_snap);
         let mut instances = BTreeMap::new();
-        for _ in 0..n {
+        for serial in 0..n as u64 {
             let deadline = r.get_u64()?;
             if deadline <= graph.now() {
                 return Err(codec::CodecError::Invalid(
                     "HistApprox instance deadline already passed",
                 ));
             }
-            let mut inst = SieveAdn::read_snapshot(r, counter.clone())?;
-            if inst.spread_mode() != mode {
-                return Err(codec::CodecError::Invalid(
-                    "HistApprox instance spread mode differs from tracker",
-                ));
-            }
-            inst.share_spread_stats(spread_stats.clone());
-            if instances.insert(deadline, inst).is_some() {
+            let inst = SieveAdn::read_snapshot(r, counter.clone())?;
+            let inst = adopt(inst, mode, &spread_stats)?;
+            if instances.insert(deadline, (serial, inst)).is_some() {
                 return Err(codec::CodecError::Invalid(
                     "HistApprox duplicate instance deadline",
                 ));
@@ -183,6 +253,7 @@ impl HistApprox {
             cfg,
             graph,
             instances,
+            next_serial: n as u64,
             counter,
             mode,
             spread_stats,
@@ -200,7 +271,7 @@ impl HistApprox {
                 .range((Excluded(deadline), Unbounded))
                 .next()
                 .map(|(&d, _)| d);
-            let mut inst = match successor {
+            let inst = match successor {
                 // Fig. 6(b): no successor — nothing alive outlives `l`, so a
                 // fresh instance starts from the empty ADN (copies made in
                 // the other arm inherit mode and shared stats via `clone`).
@@ -213,7 +284,7 @@ impl HistApprox {
                 // Fig. 6(c): copy the successor and backfill the live edges
                 // with remaining lifetime in [l, l*).
                 Some(d_star) => {
-                    let mut copy = self.instances[&d_star].clone();
+                    let mut copy = self.instances[&d_star].1.clone();
                     let l_star = (d_star - t) as Lifetime;
                     let backfill: Vec<_> = self
                         .graph
@@ -227,8 +298,8 @@ impl HistApprox {
             // The current group is live in G_t too and lies in [l, l*), so
             // a backfilled copy already saw it; feeding again is a no-op
             // thanks to edge dedup. Fresh instances need it below anyway.
-            let _ = &mut inst;
-            self.instances.insert(deadline, inst);
+            self.instances.insert(deadline, (self.next_serial, inst));
+            self.next_serial += 1;
         }
         // Line 17: feed every instance with index ≤ l. The affected
         // instances are independent SIEVEADN states, so the feeds fan out
@@ -239,7 +310,7 @@ impl HistApprox {
         let mut affected: Vec<&mut SieveAdn> = self
             .instances
             .range_mut(..=deadline)
-            .map(|(_, inst)| inst)
+            .map(|(_, (_, inst))| inst)
             .collect();
         exec::par_for_each_mut_steal(&mut affected, |inst| {
             inst.feed(edges.iter().map(|e| (e.src, e.dst)));
@@ -257,7 +328,7 @@ impl HistApprox {
         let snapshot: Vec<(Time, u64)> = self
             .instances
             .iter()
-            .map(|(&d, inst)| (d, inst.best_value()))
+            .map(|(&d, (_, inst))| (d, inst.best_value()))
             .collect();
         let mut keep = vec![true; n];
         let mut i = 0;
@@ -307,14 +378,14 @@ impl HistApprox {
         if self.approx_bytes() <= budget {
             return;
         }
-        for inst in self.instances.values_mut() {
+        for (_, inst) in self.instances.values_mut() {
             inst.release_memo_memory();
         }
         self.spread_stats.note_shed(1);
         if self.approx_bytes() <= budget {
             return;
         }
-        for inst in self.instances.values_mut() {
+        for (_, inst) in self.instances.values_mut() {
             inst.release_recycled_memory();
         }
         self.graph.release_recycled_memory();
@@ -323,7 +394,7 @@ impl HistApprox {
             return;
         }
         self.mode = SpreadMode::FullRecompute;
-        for inst in self.instances.values_mut() {
+        for (_, inst) in self.instances.values_mut() {
             inst.set_spread_mode(SpreadMode::FullRecompute);
             inst.release_memo_memory();
         }
@@ -372,7 +443,7 @@ impl InfluenceTracker for HistApprox {
         // Answer from A_{x₁}, optionally refeeding short-lifetime edges.
         let sol = match self.instances.first_key_value() {
             None => Solution::empty(),
-            Some((&d1, inst)) => {
+            Some((&d1, (_, inst))) => {
                 let x1 = (d1 - t) as Lifetime;
                 if self.refeed && x1 > 1 {
                     let mut copy = inst.clone();

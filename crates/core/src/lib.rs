@@ -31,12 +31,14 @@
 //! ## Checkpointing
 //!
 //! [`SieveAdnTracker`], [`BasicReduction`], [`HistApprox`], and
-//! [`RandomTracker`] expose `write_snapshot`/`read_snapshot` methods
+//! [`RandomTracker`] expose `write_sections`/`read_sections` methods
 //! capturing their full live state (graphs, threshold ladders, sieve
-//! slots, RNG words, oracle tallies). The `tdn-persist` crate wraps these
-//! in a versioned file format with a bit-identical warm-restart
-//! guarantee: restore + remaining stream ≡ never stopped, at any
-//! `TDN_THREADS` setting.
+//! slots, RNG words, oracle and engine tallies) as named sections, the
+//! one checkpoint encoding; their `read_snapshot` methods only decode the
+//! flat layout older checkpoints used. The `tdn-persist` crate wraps the
+//! sections in a versioned file format with delta saves and a
+//! bit-identical warm-restart guarantee: restore + remaining stream ≡
+//! never stopped, at any `TDN_THREADS` setting.
 
 #![warn(missing_docs)]
 

@@ -31,23 +31,44 @@ impl RandomTracker {
         }
     }
 
-    /// Serializes the tracker for checkpointing: parameters, oracle tally,
-    /// the generator's exact internal state, and the live TDN (whose
-    /// live-node *position order* the sampler indexes into).
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
+    /// Serializes the tracker for checkpointing as named sections: `meta`
+    /// (parameters, oracle tally, the generator's exact internal state)
+    /// and the live TDN under `g.` (whose live-node *position order* the
+    /// sampler indexes into).
+    pub fn write_sections(&self, sink: &mut codec::SectionSink) {
+        let mut w = codec::Writer::new();
         w.put_u64(self.k as u64);
         w.put_u32(self.max_lifetime);
         w.put_u64(self.counter.get());
         for word in self.rng.state() {
             w.put_u64(word);
         }
-        self.graph.write_snapshot(w);
+        sink.put("meta", w.into_vec());
+        self.graph.write_sections(sink, "g.");
     }
 
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. The
-    /// restored generator resumes the interrupted run's random stream, so
-    /// future draws match an uninterrupted run exactly.
+    /// Reconstructs a tracker from the sections [`Self::write_sections`]
+    /// emitted. The restored generator resumes the interrupted run's
+    /// random stream, so future draws match an uninterrupted run exactly.
+    pub fn read_sections(map: &codec::SectionMap) -> Result<Self, codec::SectionError> {
+        let mut r = map.reader("meta")?;
+        let mut tracker = Self::read_meta(&mut r)?;
+        r.finish()?;
+        tracker.graph = TdnGraph::read_sections(map, "g.")?;
+        Ok(tracker)
+    }
+
+    /// Decodes the flat (format-2) layout: the `meta` fields, then the
+    /// flat TDN. Read only.
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
+        let mut tracker = Self::read_meta(r)?;
+        tracker.graph = TdnGraph::read_snapshot(r)?;
+        Ok(tracker)
+    }
+
+    /// Parses the `meta` section's fields — also the head of the flat
+    /// layout — into a tracker with an empty graph.
+    fn read_meta(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let k = r.get_u64()?;
         if k == 0 || k > usize::MAX as u64 {
             return Err(codec::CodecError::Invalid("sampler budget k out of range"));
@@ -58,18 +79,16 @@ impl RandomTracker {
                 "sampler lifetime bound L is zero",
             ));
         }
-        let calls = r.get_u64()?;
+        let counter = OracleCounter::new();
+        counter.set(r.get_u64()?);
         let mut state = [0u64; 4];
         for word in &mut state {
             *word = r.get_u64()?;
         }
-        let graph = TdnGraph::read_snapshot(r)?;
-        let counter = OracleCounter::new();
-        counter.set(calls);
         Ok(RandomTracker {
             k: k as usize,
             max_lifetime,
-            graph,
+            graph: TdnGraph::new(),
             counter,
             rng: StdRng::from_state(state),
         })

@@ -725,44 +725,10 @@ impl SieveAdn {
             + sketch
     }
 
-    /// Serializes the instance's full sieve state for checkpointing: the
-    /// spread mode, the accumulated ADN (adjacency order verbatim — it
-    /// drives `V̄_t` replay order), the threshold ladder, every slot's
-    /// seeds and cover, and the spread memo (so a warm restart resumes
-    /// with the same cache, not a cold one).
-    ///
-    /// The shared [`OracleCounter`] is *not* written here; ownership of the
-    /// tally lives with the enclosing tracker (HISTAPPROX checkpoints many
-    /// instances billing one counter, which must be saved exactly once).
-    /// The shared [`SpreadStats`] tally is tracker-owned for the same
-    /// reason.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        self.mode.write_snapshot(w);
-        self.graph.write_snapshot(w);
-        self.ladder.write_snapshot(w);
-        w.put_len(self.slots.len());
-        for (&i, slot) in &self.slots {
-            w.put_i64(i);
-            w.put_len(slot.seeds.len());
-            for s in &slot.seeds {
-                w.put_u32(s.0);
-            }
-            slot.cover.write_snapshot(w);
-        }
-        w.put_u64(self.k as u64);
-        w.put_bool(self.singleton_prune);
-        self.memo.write_snapshot(w);
-        // Sketch-mode payloads carry the pool after the memo; the other
-        // modes keep the pre-sketch byte format verbatim (committed golden
-        // checkpoints stay valid).
-        if let Some(pool) = &self.sketch {
-            pool.write_snapshot(w);
-        }
-    }
-
-    /// Reconstructs an instance from [`Self::write_snapshot`] bytes,
-    /// billing future oracle calls to `counter`. Scratch arenas start cold
-    /// (they hold no logical state); the spread memo is restored warm.
+    /// Decodes the flat (format-2) instance layout — spread mode, ADN,
+    /// ladder, slots, `k`, prune flag, memo, then the sketch pool in
+    /// sketch mode — billing future oracle calls to `counter`. Read only:
+    /// checkpoints are written by [`Self::write_sections`].
     pub fn read_snapshot(r: &mut codec::Reader<'_>, counter: OracleCounter) -> codec::Result<Self> {
         let mode = SpreadMode::read_snapshot(r)?;
         let graph = AdnGraph::read_snapshot(r)?;
@@ -816,8 +782,16 @@ impl SieveAdn {
         })
     }
 
-    /// Serializes the instance as named sections under `prefix` — the
-    /// delta-checkpoint counterpart of [`Self::write_snapshot`]:
+    /// Serializes the instance for checkpointing as named sections under
+    /// `prefix`: the spread mode, the accumulated ADN (adjacency order
+    /// verbatim — it drives `V̄_t` replay order), the threshold ladder,
+    /// every slot's seeds and cover, and the spread memo (so a warm
+    /// restart resumes with the same cache, not a cold one).
+    ///
+    /// The shared [`OracleCounter`] and [`SpreadStats`] tallies are *not*
+    /// written here; they are tracker-owned (HISTAPPROX and
+    /// BASICREDUCTION checkpoint many instances billing one counter, which
+    /// must be saved exactly once). Layout:
     ///
     /// - `{prefix}meta`: spread mode, budget `k`, prune flag, node bound.
     /// - `{prefix}graph.{out,inc}.<c>`: adjacency chunk `c` of each
@@ -879,8 +853,9 @@ impl SieveAdn {
     }
 
     /// Reconstructs an instance from the sections [`Self::write_sections`]
-    /// emitted under `prefix`, with the same validation as
-    /// [`Self::read_snapshot`].
+    /// emitted under `prefix`, billing future oracle calls to `counter`.
+    /// Scratch arenas start cold (they hold no logical state); the spread
+    /// memo is restored warm.
     pub fn read_sections(
         map: &codec::SectionMap,
         prefix: &str,
@@ -990,6 +965,37 @@ impl SieveAdn {
     }
 }
 
+/// Seeds a restored tracker's shared tallies: one oracle counter and one
+/// engine-stats handle, which every restored instance then bills, exactly
+/// like the interrupted run's.
+pub(crate) fn shared_tallies(
+    calls: u64,
+    stats: &SpreadStatsSnapshot,
+) -> (OracleCounter, SpreadStats) {
+    let counter = OracleCounter::new();
+    counter.set(calls);
+    let spread_stats = SpreadStats::new();
+    spread_stats.restore(stats);
+    (counter, spread_stats)
+}
+
+/// Attaches a restored instance to its tracker: the instance must run the
+/// tracker's spread mode, and it bills the tracker's shared engine
+/// tallies.
+pub(crate) fn adopt(
+    mut inst: SieveAdn,
+    mode: SpreadMode,
+    stats: &SpreadStats,
+) -> codec::Result<SieveAdn> {
+    if inst.spread_mode() != mode {
+        return Err(codec::CodecError::Invalid(
+            "restored instance spread mode differs from its tracker",
+        ));
+    }
+    inst.share_spread_stats(stats.clone());
+    Ok(inst)
+}
+
 /// SIEVEADN exposed as a tracker over addition-only streams: lifetimes are
 /// ignored (treated as infinite), matching the special problem of §III-A.
 pub struct SieveAdnTracker {
@@ -1074,19 +1080,11 @@ impl SieveAdnTracker {
         stats.note_shed(3);
     }
 
-    /// Serializes the tracker (instance state, the oracle tally, and the
-    /// incremental-engine tallies) for checkpointing.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_u64(self.counter.get());
-        self.inner.spread_stats().write_snapshot(w);
-        self.inner.write_snapshot(w);
-    }
-
-    /// Serializes the tracker as named sections — the delta-checkpoint
-    /// counterpart of [`Self::write_snapshot`]: a fresh `meta` section
-    /// (oracle tally + engine tallies, including the shed counters) plus
-    /// the instance's sections under the `adn.` prefix, whose stable
-    /// adjacency chunks are skipped relative to the parent save.
+    /// Serializes the tracker for checkpointing as named sections: a
+    /// `meta` section (oracle tally + engine tallies, including the shed
+    /// counters) plus the instance's sections under the `adn.` prefix,
+    /// whose stable adjacency chunks are skipped relative to the parent
+    /// save.
     pub fn write_sections(&self, sink: &mut codec::SectionSink) {
         let mut w = codec::Writer::new();
         w.put_u64(self.counter.get());
@@ -1104,10 +1102,9 @@ impl SieveAdnTracker {
         let calls = r.get_u64()?;
         let stats_snap = SpreadStatsSnapshot::read_snapshot_v3(&mut r)?;
         r.finish()?;
-        let counter = OracleCounter::new();
-        counter.set(calls);
-        let inner = SieveAdn::read_sections(map, "adn.", counter.clone())?;
-        inner.spread_stats_handle().restore(&stats_snap);
+        let (counter, stats) = shared_tallies(calls, &stats_snap);
+        let mut inner = SieveAdn::read_sections(map, "adn.", counter.clone())?;
+        inner.share_spread_stats(stats);
         Ok(SieveAdnTracker {
             inner,
             counter,
@@ -1115,16 +1112,14 @@ impl SieveAdnTracker {
         })
     }
 
-    /// Reconstructs a tracker from [`Self::write_snapshot`] bytes. The
-    /// restored tracker resumes the oracle and engine tallies at the saved
-    /// counts.
+    /// Decodes the flat (format-2) tracker layout: oracle tally, the
+    /// eight-field engine tallies, then the instance. Read only.
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let calls = r.get_u64()?;
         let stats_snap = SpreadStatsSnapshot::read_snapshot(r)?;
-        let counter = OracleCounter::new();
-        counter.set(calls);
-        let inner = SieveAdn::read_snapshot(r, counter.clone())?;
-        inner.spread_stats_handle().restore(&stats_snap);
+        let (counter, stats) = shared_tallies(calls, &stats_snap);
+        let mut inner = SieveAdn::read_snapshot(r, counter.clone())?;
+        inner.share_spread_stats(stats);
         Ok(SieveAdnTracker {
             inner,
             counter,
@@ -1286,16 +1281,18 @@ mod tests {
         s.set_spread_mode(SpreadMode::Sketch(params));
         assert_eq!(s.sketch_pool().unwrap().universe_len(), 5);
         // Snapshot round trip preserves the pool bit-for-bit.
-        let mut w = codec::Writer::new();
-        s.write_snapshot(&mut w);
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        let back = SieveAdn::read_snapshot(&mut r, OracleCounter::new()).expect("round trip");
-        r.finish().expect("fully consumed");
+        let bytes = sections_of(&s);
+        let map = codec::SectionMap::from_single(&bytes).expect("resolve");
+        let back = SieveAdn::read_sections(&map, "i.", OracleCounter::new()).expect("round trip");
         assert_eq!(back.spread_mode(), SpreadMode::Sketch(params));
-        let mut w2 = codec::Writer::new();
-        back.write_snapshot(&mut w2);
-        assert_eq!(bytes, w2.into_vec());
+        assert_eq!(bytes, sections_of(&back));
+    }
+
+    /// A self-contained section container holding `s` under prefix `i.`.
+    fn sections_of(s: &SieveAdn) -> Vec<u8> {
+        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
+        s.write_sections(&mut sink, "i.");
+        sink.finish().0
     }
 
     /// The incremental engine's contract in miniature: identical solutions
@@ -1533,12 +1530,9 @@ mod tests {
                 (NodeId(0), NodeId(2)),
                 (NodeId(5), NodeId(6)),
             ]);
-            let mut w = codec::Writer::new();
-            a.write_snapshot(&mut w);
-            let bytes = w.into_vec();
-            let mut r = codec::Reader::new(&bytes);
-            let mut b = SieveAdn::read_snapshot(&mut r, counter.clone()).expect("round trip");
-            r.finish().expect("fully consumed");
+            let bytes = sections_of(&a);
+            let map = codec::SectionMap::from_single(&bytes).expect("resolve");
+            let mut b = SieveAdn::read_sections(&map, "i.", counter.clone()).expect("round trip");
             assert_eq!(b.spread_mode(), mode);
             // Both copies evolve identically (same counter: feed them the
             // same batch one after the other and compare answers).
@@ -1546,10 +1540,17 @@ mod tests {
             a.feed([(NodeId(2), NodeId(7)), (NodeId(6), NodeId(0))]);
             assert_eq!(a.query(), b.query(), "mode {mode:?}");
             // A corrupt mode tag is a typed error, never a panic.
-            let mut corrupt = bytes.clone();
-            corrupt[0] = 9;
-            let mut r = codec::Reader::new(&corrupt);
-            assert!(SieveAdn::read_snapshot(&mut r, counter.clone()).is_err());
+            let reader = codec::SectionReader::parse(&bytes).expect("container parses");
+            let mut w = codec::SectionWriter::new();
+            for e in reader.toc().entries() {
+                let mut payload = reader.payload(&e.name).unwrap().to_vec();
+                if e.name == "i.meta" {
+                    payload[0] = 9;
+                }
+                w.put_section(&e.name, payload);
+            }
+            let map = codec::SectionMap::from_single(&w.finish()).expect("resolve");
+            assert!(SieveAdn::read_sections(&map, "i.", counter.clone()).is_err());
         }
     }
 

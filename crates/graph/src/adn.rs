@@ -189,31 +189,11 @@ impl AdnGraph {
         self.inc.as_slice(v.index())
     }
 
-    /// Serializes the graph for checkpointing.
-    ///
-    /// Both adjacency directions are written **verbatim, in list order**:
-    /// BFS traversal order — and therefore the `V̄_t` sequence the sieves
-    /// replay — depends on it, so a warm restart must reproduce it exactly
-    /// for the bit-identical-restore guarantee. The `pairs` and `nodes`
-    /// sets are derivable from the adjacency and are rebuilt on restore.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        let put_pool = |w: &mut codec::Writer, pool: &AdjPool<NodeId>| {
-            w.put_len(pool.node_bound());
-            for n in 0..pool.node_bound() {
-                let list = pool.as_slice(n);
-                w.put_len(list.len());
-                for n in list {
-                    w.put_u32(n.0);
-                }
-            }
-        };
-        put_pool(w, &self.out);
-        // `inc` is fully determined by `out` but its *list order* is not
-        // (it interleaves by arrival), so it is stored verbatim too.
-        put_pool(w, &self.inc);
-    }
-
-    /// Reconstructs a graph from [`Self::write_snapshot`] bytes.
+    /// Decodes the flat (format-2) checkpoint layout: each adjacency
+    /// direction as a node bound followed by every list verbatim, in list
+    /// order (BFS order — and so the `V̄_t` replay — depends on it). Read
+    /// only: checkpoints are written as chunk sections
+    /// ([`Self::write_out_chunk`]).
     ///
     /// Rebuilds the pair-dedup set and node set from the forward adjacency
     /// and cross-checks the reverse adjacency edge count, so corrupted
@@ -257,8 +237,8 @@ impl AdnGraph {
     /// of the forward one (bounds-checked, duplicate-free, same edge set):
     /// reverse BFS — and therefore the `V̄_t` replay — walks it, so a
     /// drifted `inc` would silently skew results or index out of range.
-    /// The restore-finalization step shared by the element-wise and the
-    /// sectioned (chunked) read paths.
+    /// The restore-finalization step shared by the flat and the chunked
+    /// read paths.
     pub fn rebuild_indexes(&mut self) -> codec::Result<()> {
         let n_out = self.out.node_bound();
         if self.inc.node_bound() != n_out {
@@ -499,6 +479,30 @@ mod tests {
         assert!(!g.contains_node(NodeId(42)));
     }
 
+    /// Round-trips `g` through its chunk sections, as a checkpoint does.
+    fn chunk_round_trip(g: &AdnGraph) -> AdnGraph {
+        let mut h = AdnGraph::new();
+        h.ensure_node_bound(g.node_bound());
+        for c in 0..g.chunk_count() {
+            let lo = c * crate::arena::SNAPSHOT_CHUNK;
+            let expected = (lo + crate::arena::SNAPSHOT_CHUNK).min(g.node_bound()) - lo;
+            let mut w = codec::Writer::new();
+            g.write_out_chunk(c, &mut w);
+            let bytes = w.into_vec();
+            let mut r = codec::Reader::new(&bytes);
+            h.read_out_chunk(c, expected, &mut r).unwrap();
+            r.finish().unwrap();
+            let mut w = codec::Writer::new();
+            g.write_inc_chunk(c, &mut w);
+            let bytes = w.into_vec();
+            let mut r = codec::Reader::new(&bytes);
+            h.read_inc_chunk(c, expected, &mut r).unwrap();
+            r.finish().unwrap();
+        }
+        h.rebuild_indexes().expect("transpose validates");
+        h
+    }
+
     #[test]
     fn snapshot_round_trip_preserves_adjacency_order() {
         let mut g = AdnGraph::new();
@@ -507,12 +511,7 @@ mod tests {
         for (u, v) in [(3u32, 1u32), (0, 1), (3, 0), (2, 1), (0, 2)] {
             g.add_edge(NodeId(u), NodeId(v));
         }
-        let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        let h = AdnGraph::read_snapshot(&mut r).expect("round trip");
-        r.finish().expect("fully consumed");
+        let h = chunk_round_trip(&g);
         assert_eq!(g.edge_count(), h.edge_count());
         assert_eq!(g.node_count(), h.node_count());
         for n in 0..4u32 {
@@ -617,24 +616,7 @@ mod tests {
             g.add_edge(NodeId(rnd(90) as u32), NodeId(rnd(90) as u32));
         }
         // Serialize every chunk, restore into a fresh graph, finalize.
-        let mut h = AdnGraph::new();
-        for c in 0..g.chunk_count() {
-            let lo = c * crate::arena::SNAPSHOT_CHUNK;
-            let expected = (lo + crate::arena::SNAPSHOT_CHUNK).min(g.node_bound()) - lo;
-            let mut w = codec::Writer::new();
-            g.write_out_chunk(c, &mut w);
-            let bytes = w.into_vec();
-            let mut r = codec::Reader::new(&bytes);
-            h.read_out_chunk(c, expected, &mut r).unwrap();
-            r.finish().unwrap();
-            let mut w = codec::Writer::new();
-            g.write_inc_chunk(c, &mut w);
-            let bytes = w.into_vec();
-            let mut r = codec::Reader::new(&bytes);
-            h.read_inc_chunk(c, expected, &mut r).unwrap();
-            r.finish().unwrap();
-        }
-        h.rebuild_indexes().expect("transpose validates");
+        let h = chunk_round_trip(&g);
         assert_eq!(g.edge_count(), h.edge_count());
         assert_eq!(g.node_count(), h.node_count());
         for n in 0..g.node_bound() as u32 {
@@ -677,13 +659,21 @@ mod tests {
         let mut g = AdnGraph::new();
         g.add_edge(NodeId(0), NodeId(1));
         let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
+        g.write_out_chunk(0, &mut w);
         let bytes = w.into_vec();
         // Every truncation errors instead of panicking.
         for cut in 0..bytes.len() {
+            let mut h = AdnGraph::new();
+            h.ensure_node_bound(2);
             let mut r = codec::Reader::new(&bytes[..cut]);
-            let res = AdnGraph::read_snapshot(&mut r).and_then(|_| r.finish());
+            let res = h.read_out_chunk(0, 2, &mut r).and_then(|_| r.finish());
             assert!(res.is_err(), "prefix of {cut} bytes decoded");
         }
+        // A reverse adjacency that is not the transpose fails finalization.
+        let mut h = AdnGraph::new();
+        h.ensure_node_bound(2);
+        let mut r = codec::Reader::new(&bytes);
+        h.read_out_chunk(0, 2, &mut r).unwrap();
+        assert!(h.rebuild_indexes().is_err(), "empty reverse side accepted");
     }
 }

@@ -98,17 +98,10 @@ impl EpochSet {
             + self.members.capacity() * std::mem::size_of::<NodeId>()
     }
 
-    /// Serializes the member list (order verbatim) for checkpointing.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.members.len());
-        for n in &self.members {
-            w.put_u32(n.0);
-        }
-    }
-
-    /// Reconstructs a set from [`Self::write_snapshot`] bytes. `bound` is
-    /// the enclosing structure's node-index bound; members outside it, or
-    /// duplicated, are typed errors.
+    /// Decodes the flat (format-2) layout: a length, then each member in
+    /// order. Read only (checkpoints write [`Self::write_snapshot_raw`]).
+    /// `bound` is the enclosing structure's node-index bound; members
+    /// outside it, or duplicated, are typed errors.
     pub fn read_snapshot(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
         let n = r.get_len(4)?;
         let mut set = EpochSet::new();
@@ -126,8 +119,8 @@ impl EpochSet {
         Ok(set)
     }
 
-    /// Serializes the member list as one raw `u32` word run (order
-    /// verbatim) — the sectioned-save fast path.
+    /// Serializes the member list for checkpointing as one raw `u32` word
+    /// run (order verbatim).
     pub fn write_snapshot_raw(&self, w: &mut codec::Writer) {
         let members: Vec<u32> = self.members.iter().map(|n| n.0).collect();
         w.put_u32_run(&members);
@@ -199,20 +192,25 @@ mod tests {
             s.insert(NodeId(i));
         }
         let mut w = codec::Writer::new();
-        s.write_snapshot(&mut w);
+        s.write_snapshot_raw(&mut w);
         let bytes = w.into_vec();
         let mut r = codec::Reader::new(&bytes);
-        let back = EpochSet::read_snapshot(&mut r, 8).expect("round trip");
+        let back = EpochSet::read_snapshot_raw(&mut r, 8).expect("round trip");
         r.finish().expect("fully consumed");
         assert_eq!(back.members(), s.members());
         assert!(back.contains(NodeId(4)));
         // Out-of-bound member.
         let mut r = codec::Reader::new(&bytes);
-        assert!(EpochSet::read_snapshot(&mut r, 7).is_err());
+        assert!(EpochSet::read_snapshot_raw(&mut r, 7).is_err());
+        // Duplicated member.
+        let mut w = codec::Writer::new();
+        w.put_u32_run(&[2, 2]);
+        let dup = w.into_vec();
+        assert!(EpochSet::read_snapshot_raw(&mut codec::Reader::new(&dup), 8).is_err());
         // Every truncation errors.
         for cut in 0..bytes.len() {
             let mut r = codec::Reader::new(&bytes[..cut]);
-            let res = EpochSet::read_snapshot(&mut r, 8).and_then(|_| r.finish());
+            let res = EpochSet::read_snapshot_raw(&mut r, 8).and_then(|_| r.finish());
             assert!(res.is_err(), "prefix of {cut} bytes decoded");
         }
     }

@@ -80,18 +80,10 @@ impl IndexedSet {
         self.items.iter().copied()
     }
 
-    /// Serializes the set for checkpointing. The *position order* is part
-    /// of the snapshot: callers sample members by index (the Random
-    /// tracker), so a warm restart must see the identical layout.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.items.len());
-        for n in &self.items {
-            w.put_u32(n.0);
-        }
-    }
-
-    /// Reconstructs a set from [`Self::write_snapshot`] bytes, rebuilding
-    /// the position map. Duplicate members are rejected as corruption.
+    /// Decodes the flat (format-2) layout: a length, then each member in
+    /// position order. Read only (checkpoints write
+    /// [`Self::write_snapshot_slab`]). Rebuilds the position map;
+    /// duplicate members are rejected as corruption.
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let len = r.get_len(4)?;
         let mut set = IndexedSet::new();
@@ -103,8 +95,10 @@ impl IndexedSet {
         Ok(set)
     }
 
-    /// Serializes the member slab as one raw `u32` word run, position
-    /// order verbatim (positions are part of the snapshot contract).
+    /// Serializes the set for checkpointing as one raw `u32` word run. The
+    /// *position order* is part of the snapshot: callers sample members by
+    /// index (the Random tracker), so a warm restart must see the
+    /// identical layout.
     pub fn write_snapshot_slab(&self, w: &mut codec::Writer) {
         let items: Vec<u32> = self.items.iter().map(|n| n.0).collect();
         w.put_u32_run(&items);

@@ -32,14 +32,17 @@
 //! * [`analysis`] — offline SCC condensation + exact all-node spreads
 //!   (an independent oracle for tests and workload diagnostics).
 //!
-//! Every state-bearing type ([`adn::AdnGraph`], [`tdn::TdnGraph`],
-//! [`indexed_set::IndexedSet`], [`reach::CoverSet`],
-//! [`node::NodeInterner`]) exposes `write_snapshot`/`read_snapshot`
-//! methods over the `codec` byte format — the building blocks of the
-//! `tdn-persist` checkpoint layer. Order-sensitive structures (adjacency
-//! lists, expiry buckets, the live-node set) serialize **verbatim** so a
-//! restored tracker replays bit-identically; see
-//! `DESIGN.md § Persistence & recovery`.
+//! The state-bearing types write one checkpoint encoding over the `codec`
+//! byte format: [`tdn::TdnGraph::write_sections`] emits named sections,
+//! and [`adn::AdnGraph`] chunks, [`reach::CoverSet`] words,
+//! [`reach::SpreadMemo`] and [`epoch::EpochSet`] raw runs and the
+//! [`indexed_set::IndexedSet`] slab are the payloads the trackers'
+//! sections are built from — the building blocks of the `tdn-persist`
+//! checkpoint layer. Order-sensitive structures (adjacency lists, expiry
+//! buckets, the live-node set) serialize **verbatim** so a restored
+//! tracker replays bit-identically. Their `read_snapshot` methods decode
+//! the flat format-2 layout only, for old checkpoints; nothing writes it.
+//! See `DESIGN.md § Persistence & recovery`.
 
 #![warn(missing_docs)]
 

@@ -318,17 +318,9 @@ impl CoverSet {
         self.bits.approx_bytes() + std::mem::size_of::<usize>()
     }
 
-    /// Serializes the cover for checkpointing, in canonical (sorted) order
-    /// — the bitset's natural iteration order, and byte-identical to what
-    /// the pre-bitset backend wrote.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.bits.len());
-        for n in self.bits.iter() {
-            w.put_u32(n.0);
-        }
-    }
-
-    /// Reconstructs a cover from [`Self::write_snapshot`] bytes.
+    /// Decodes the flat (format-2) layout: a length, then each member in
+    /// canonical (sorted) order. Read only (checkpoints write
+    /// [`Self::write_snapshot_words`]).
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let len = r.get_len(4)?;
         let mut bits = NodeBitSet::new();
@@ -340,8 +332,8 @@ impl CoverSet {
         Ok(CoverSet { bits })
     }
 
-    /// Serializes the cover as one raw `u64` word run straight from the
-    /// backing bitset — the zero-copy sectioned-save path.
+    /// Serializes the cover for checkpointing as one raw `u64` word run
+    /// straight from the backing bitset.
     pub fn write_snapshot_words(&self, w: &mut codec::Writer) {
         self.bits.write_snapshot_words(w);
     }
@@ -1328,23 +1320,8 @@ impl SpreadStats {
 }
 
 impl SpreadStatsSnapshot {
-    /// Serializes the tallies for checkpointing.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        for v in [
-            self.redundant_edges,
-            self.sink_delta_edges,
-            self.novel_edges,
-            self.probe_budget_exhausted,
-            self.cache_hits,
-            self.cache_misses,
-            self.patched_batches,
-            self.rebuilt_batches,
-        ] {
-            w.put_u64(v);
-        }
-    }
-
-    /// Reconstructs tallies from [`Self::write_snapshot`] bytes.
+    /// Decodes the eight-field layout of format-2 checkpoints (no shed
+    /// counters; they read as zero). Read only.
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         Ok(SpreadStatsSnapshot {
             redundant_edges: r.get_u64()?,
@@ -1359,14 +1336,24 @@ impl SpreadStatsSnapshot {
         })
     }
 
-    /// Serializes every tally, shed counters included — the sectioned
-    /// (format v3) layout. [`Self::write_snapshot`] keeps the original
-    /// eight-field layout so v2 checkpoints stay byte-identical.
+    /// Serializes every tally, shed counters included, for checkpointing
+    /// (the layout format 3 introduced).
     pub fn write_snapshot_v3(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
-        w.put_u64(self.shed_memo);
-        w.put_u64(self.shed_arena);
-        w.put_u64(self.shed_fallback);
+        for v in [
+            self.redundant_edges,
+            self.sink_delta_edges,
+            self.novel_edges,
+            self.probe_budget_exhausted,
+            self.cache_hits,
+            self.cache_misses,
+            self.patched_batches,
+            self.rebuilt_batches,
+            self.shed_memo,
+            self.shed_arena,
+            self.shed_fallback,
+        ] {
+            w.put_u64(v);
+        }
     }
 
     /// Reconstructs tallies from [`Self::write_snapshot_v3`] bytes.
@@ -1660,29 +1647,10 @@ impl SpreadMemo {
             + self.delta_count.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Serializes the memo: validity flags and values, plus the adaptive
-    /// probe-gate counters (so a warm restart makes the same probe
-    /// decisions as an uninterrupted run). The dirty and delta sets are
-    /// per-batch transient and always empty between batches.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_len(self.value.len());
-        for i in 0..self.value.len() {
-            w.put_bool(self.valid[i]);
-            if self.valid[i] {
-                w.put_u64(self.value[i]);
-            }
-        }
-        w.put_u64(self.probes_run);
-        w.put_u64(self.probes_hit);
-        w.put_u64(self.probe_skips);
-    }
-
-    /// Reconstructs a memo from [`Self::write_snapshot`] bytes. `bound` is
-    /// the owning graph's node-index bound: a memo larger than the graph,
-    /// or a stored spread outside `[1, bound]` (a spread counts at least
-    /// the node itself and at most every node), is a typed error — a
-    /// corrupt memo would silently change answers, since served values are
-    /// trusted as exact.
+    /// Decodes the flat (format-2) layout: a slot count, then a validity
+    /// flag per slot followed by its value when valid, then the probe-gate
+    /// counters. Read only (checkpoints write [`Self::write_snapshot_raw`]).
+    /// Validated like the raw path.
     pub fn read_snapshot(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
         let n = r.get_len(1)?;
         if n > bound {
@@ -1717,11 +1685,12 @@ impl SpreadMemo {
         Ok(memo)
     }
 
-    /// Serializes the memo as raw word runs — validity bitmap (one bit per
-    /// slot, packed LE into `u64` words), then the valid values
-    /// concatenated in index order, then the probe-gate counters. The
-    /// mmap-friendly sectioned-save alternative to the element-wise
-    /// [`Self::write_snapshot`].
+    /// Serializes the memo for checkpointing as raw word runs — validity
+    /// bitmap (one bit per slot, packed LE into `u64` words), then the
+    /// valid values concatenated in index order, then the adaptive
+    /// probe-gate counters (so a warm restart makes the same probe
+    /// decisions as an uninterrupted run). The dirty and delta sets are
+    /// per-batch transient and always empty between batches.
     pub fn write_snapshot_raw(&self, w: &mut codec::Writer) {
         w.put_len(self.value.len());
         let mut bitmap = vec![0u64; self.value.len().div_ceil(64)];
@@ -1739,8 +1708,12 @@ impl SpreadMemo {
         w.put_u64(self.probe_skips);
     }
 
-    /// Reconstructs a memo from [`Self::write_snapshot_raw`] bytes with the
-    /// same validation as [`Self::read_snapshot`].
+    /// Reconstructs a memo from [`Self::write_snapshot_raw`] bytes. `bound`
+    /// is the owning graph's node-index bound: a memo larger than the
+    /// graph, or a stored spread outside `[1, bound]` (a spread counts at
+    /// least the node itself and at most every node), is a typed error — a
+    /// corrupt memo would silently change answers, since served values are
+    /// trusted as exact.
     pub fn read_snapshot_raw(r: &mut codec::Reader<'_>, bound: usize) -> codec::Result<Self> {
         // Slots are bitmap-packed (1 bit each), so `get_len`'s byte-per-
         // element guard would reject valid payloads; the bound check below
@@ -2601,10 +2574,10 @@ mod tests {
         fresh.restore(&snap);
         assert_eq!(fresh.snapshot(), snap);
         let mut w = codec::Writer::new();
-        snap.write_snapshot(&mut w);
+        snap.write_snapshot_v3(&mut w);
         let bytes = w.into_vec();
         let mut r = codec::Reader::new(&bytes);
-        assert_eq!(SpreadStatsSnapshot::read_snapshot(&mut r).unwrap(), snap);
+        assert_eq!(SpreadStatsSnapshot::read_snapshot_v3(&mut r).unwrap(), snap);
         r.finish().unwrap();
     }
 
@@ -2615,35 +2588,29 @@ mod tests {
         memo.store(NodeId(0), 3);
         memo.store(NodeId(2), 1);
         let mut w = codec::Writer::new();
-        memo.write_snapshot(&mut w);
+        memo.write_snapshot_raw(&mut w);
         let bytes = w.into_vec();
         let mut r = codec::Reader::new(&bytes);
-        let mut back = SpreadMemo::read_snapshot(&mut r, 4).expect("round trip");
+        let mut back = SpreadMemo::read_snapshot_raw(&mut r, 4).expect("round trip");
         r.finish().expect("fully consumed");
         back.begin_batch(4);
         assert_eq!(back.lookup(NodeId(0)), Some(3));
         assert_eq!(back.lookup(NodeId(1)), None);
         assert_eq!(back.lookup(NodeId(2)), Some(1));
-        // Larger than the owning graph: rejected.
-        let mut r = codec::Reader::new(&bytes);
-        assert!(SpreadMemo::read_snapshot(&mut r, 3).is_err());
-        // Every truncation errors instead of panicking.
-        for cut in 0..bytes.len() {
-            let mut r = codec::Reader::new(&bytes[..cut]);
-            let res = SpreadMemo::read_snapshot(&mut r, 4).and_then(|_| r.finish());
-            assert!(res.is_err(), "prefix of {cut} bytes decoded");
-        }
         // A stored spread of 0 (or beyond the bound) is semantically
         // impossible and must be a typed error, not trusted data.
         for bad in [0u64, 5] {
             let mut w = codec::Writer::new();
-            w.put_len(1);
-            w.put_bool(true);
-            w.put_u64(bad);
+            w.put_u64(1);
+            w.put_u64_run(&[1]);
+            w.put_u64_run(&[bad]);
+            w.put_u64(0);
+            w.put_u64(0);
+            w.put_u64(0);
             let bytes = w.into_vec();
             let mut r = codec::Reader::new(&bytes);
             assert!(
-                SpreadMemo::read_snapshot(&mut r, 4).is_err(),
+                SpreadMemo::read_snapshot_raw(&mut r, 4).is_err(),
                 "spread {bad}"
             );
         }
@@ -2754,13 +2721,12 @@ mod tests {
         let mut r = codec::Reader::new(&bytes);
         assert_eq!(SpreadStatsSnapshot::read_snapshot_v3(&mut r).unwrap(), snap);
         r.finish().unwrap();
-        // The v2 writer stays at eight words: shed counters must not leak
-        // into old-format bytes.
-        let mut w = codec::Writer::new();
-        snap.write_snapshot(&mut w);
-        assert_eq!(w.into_vec().len(), 8 * 8);
-        let mut r = codec::Reader::new(&bytes);
+        // The format-2 layout is the eight-word prefix, without the shed
+        // counters: its decoder reads them as zero.
+        let mut r = codec::Reader::new(&bytes[..8 * 8]);
         let v2 = SpreadStatsSnapshot::read_snapshot(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(v2.shed_memo, 0, "v2 read leaves shed counters zeroed");
+        assert_eq!(v2.cache_hits, snap.cache_hits);
     }
 }

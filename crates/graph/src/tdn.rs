@@ -481,64 +481,10 @@ impl TdnGraph {
             .count()
     }
 
-    /// Serializes the live graph for checkpointing.
-    ///
-    /// Everything order-sensitive is written **verbatim**: adjacency entry
-    /// order drives BFS traversal order, expiry-bucket vector order drives
-    /// [`Self::edges_with_remaining_in`] (HISTAPPROX's backfill feed), and
-    /// the live-node set's position order drives index-based sampling.
-    /// Lazy-compaction `dead` counters are stored too, so compaction fires
-    /// at the same future steps as in an uninterrupted run.
-    pub fn write_snapshot(&self, w: &mut codec::Writer) {
-        w.put_u64(self.now);
-        let put_adj = |w: &mut codec::Writer, side: &AdjSide| {
-            w.put_len(side.pool.node_bound());
-            for n in 0..side.pool.node_bound() {
-                let list = side.pool.as_slice(n);
-                w.put_len(list.len());
-                for &(n, exp) in list {
-                    w.put_u32(n.0);
-                    w.put_u64(exp);
-                }
-                w.put_u32(side.dead[n]);
-            }
-        };
-        put_adj(w, &self.out);
-        put_adj(w, &self.inc);
-        w.put_len(self.degree.len());
-        for &d in &self.degree {
-            w.put_u32(d);
-        }
-        w.put_len(self.buckets.len());
-        for (&exp, edges) in &self.buckets {
-            w.put_u64(exp);
-            w.put_len(edges.len());
-            for &(u, v) in edges {
-                w.put_u32(u.0);
-                w.put_u32(v.0);
-            }
-        }
-        // Canonical (sorted) order: the map is only ever queried by key.
-        let mut pairs: Vec<(u64, u32)> = self.pair_count.iter().map(|(&k, &c)| (k, c)).collect();
-        pairs.sort_unstable();
-        w.put_len(pairs.len());
-        for (k, c) in pairs {
-            w.put_u64(k);
-            w.put_u32(c);
-        }
-        self.live_nodes.write_snapshot(w);
-        w.put_u64(self.live_edges);
-        // Dirty tracking flag + set (order verbatim): state a consumer has
-        // not yet drained must survive a warm restart, or its incremental
-        // view would silently miss pre-checkpoint churn. With tracking off
-        // (the default) this costs nine bytes.
-        w.put_bool(self.dirty_enabled);
-        self.dirty.write_snapshot(w);
-    }
-
-    /// Reconstructs a graph from [`Self::write_snapshot`] bytes, validating
-    /// the redundant bookkeeping (live-edge recount, dead counters, bucket
-    /// keys) so a corrupted snapshot surfaces as a typed error.
+    /// Decodes the flat (format-2) checkpoint layout, validating the
+    /// redundant bookkeeping (live-edge recount, dead counters, bucket
+    /// keys) so a corrupted snapshot surfaces as a typed error. Read only:
+    /// checkpoints are written by [`Self::write_sections`].
     pub fn read_snapshot(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
         let now = r.get_u64()?;
         let get_adj = |r: &mut codec::Reader<'_>| -> codec::Result<AdjSide> {
@@ -622,7 +568,7 @@ impl TdnGraph {
     }
 
     /// Cross-validates decoded parts and assembles the graph — the shared
-    /// back half of both restore paths (element-wise and sectioned). The
+    /// back half of both restore paths (flat and sectioned). The
     /// checksum only proves the file round-tripped the *bytes*; it does
     /// not prove the structures agree with each other, and future mutation
     /// code (eviction, compaction) indexes and decrements based on exactly
@@ -814,8 +760,15 @@ impl TdnGraph {
             .insert(exp >> BUCKET_RANGE_SHIFT, self.bucket_generation);
     }
 
-    /// Emits the graph as named sections under `prefix` — the delta-aware
-    /// alternative to [`Self::write_snapshot`]. Layout:
+    /// Emits the graph as named sections under `prefix` — its checkpoint
+    /// encoding, delta-aware.
+    ///
+    /// Everything order-sensitive is written **verbatim**: adjacency entry
+    /// order drives BFS traversal order, expiry-bucket vector order drives
+    /// [`Self::edges_with_remaining_in`] (HISTAPPROX's backfill feed), and
+    /// the live-node set's position order drives index-based sampling.
+    /// Lazy-compaction `dead` counters are stored too, so compaction fires
+    /// at the same future steps as in an uninterrupted run. Layout:
     ///
     /// - `{prefix}core`: clock, degrees, pair multiplicities (canonical
     ///   sorted runs), live-node slab, edge count, dirty state, and the
@@ -1248,70 +1201,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_future_evolution() {
-        // Build a graph with pending expirations, partially-dead adjacency
-        // (pre-compaction), multi-edges, a non-trivial live-node order, and
-        // an undrained dirty set (tracking on).
-        let mut g = TdnGraph::new();
-        g.set_dirty_tracking(true);
-        for i in 1..=10u32 {
-            g.add_edge(NodeId(0), NodeId(i), i);
-        }
-        g.add_edge(NodeId(0), NodeId(3), 9); // multi-edge
-        g.add_edge(NodeId(7), NodeId(0), 20);
-        g.advance_to(4); // some entries dead, compaction threshold not hit everywhere
-        let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
-        let bytes = w.into_vec();
-        let mut r = codec::Reader::new(&bytes);
-        let mut h = TdnGraph::read_snapshot(&mut r).expect("round trip");
-        r.finish().expect("fully consumed");
-        h.check_invariants();
-        assert!(h.dirty_tracking(), "tracking flag must survive");
-        assert_eq!(g.now(), h.now());
-        assert_eq!(g.edge_count(), h.edge_count());
-        assert_eq!(g.node_count(), h.node_count());
-        assert_eq!(
-            g.live_nodes().as_slice(),
-            h.live_nodes().as_slice(),
-            "live-node position order must survive verbatim"
-        );
-        let range = |g: &TdnGraph| -> Vec<LiveEdge> { g.edges_with_remaining_in(1, 30).collect() };
-        assert_eq!(range(&g), range(&h), "bucket iteration order must match");
-        assert_eq!(
-            g.dirty_nodes(),
-            h.dirty_nodes(),
-            "undrained dirty set must survive the round trip verbatim"
-        );
-        // Evolve both identically: expiry, compaction, and new arrivals
-        // must behave the same on the restored copy.
-        for t in [6u64, 9, 12] {
-            g.advance_to(t);
-            h.advance_to(t);
-            g.add_edge(NodeId(5), NodeId(t as u32), 3);
-            h.add_edge(NodeId(5), NodeId(t as u32), 3);
-            assert_eq!(g.edge_count(), h.edge_count(), "t={t}");
-            assert_eq!(g.live_nodes().as_slice(), h.live_nodes().as_slice());
-            assert_eq!(range(&g), range(&h), "t={t}");
-            assert_eq!(g.take_dirty(), h.take_dirty(), "t={t}");
-            h.check_invariants();
-        }
-    }
-
-    #[test]
     fn snapshot_rejects_drifted_bookkeeping() {
-        let mut g = TdnGraph::new();
-        g.add_edge(NodeId(0), NodeId(1), 5);
-        let mut w = codec::Writer::new();
-        g.write_snapshot(&mut w);
-        let mut bytes = w.into_vec();
-        // The trailing fields are live_edges (u64), the dirty-tracking
-        // flag (1 byte), and the empty dirty list (u64 length); inflate
-        // live_edges and expect the recount cross-check to fire.
-        let n = bytes.len();
-        bytes[n - 17..n - 9].copy_from_slice(&7u64.to_le_bytes());
-        let mut r = codec::Reader::new(&bytes);
-        assert!(TdnGraph::read_snapshot(&mut r).is_err());
+        // An inflated live-edge count must trip the recount cross-check.
+        assert!(corrupt_single_edge_snapshot(|p| p.live_edges = 7).is_err());
     }
 
     /// Hand-encodes a single-edge snapshot (0 → 1, expiry 5, now 0) with
@@ -1327,6 +1219,7 @@ mod tests {
             bucket_exp: 5,
             pair_key: pack_pair(NodeId(0), NodeId(1)),
             live_nodes: vec![0, 1],
+            live_edges: 1,
             dirty_enabled: true,
             dirty: vec![0, 1],
         };
@@ -1362,7 +1255,7 @@ mod tests {
         for &n in &p.live_nodes {
             w.put_u32(n);
         }
-        w.put_u64(1); // live_edges
+        w.put_u64(p.live_edges);
         w.put_bool(p.dirty_enabled); // dirty tracking flag
         w.put_len(p.dirty.len()); // dirty set
         for &n in &p.dirty {
@@ -1381,6 +1274,7 @@ mod tests {
         bucket_exp: Time,
         pair_key: u64,
         live_nodes: Vec<u32>,
+        live_edges: u64,
         dirty_enabled: bool,
         dirty: Vec<u32>,
     }
@@ -1505,10 +1399,10 @@ mod tests {
 
     #[test]
     fn sectioned_snapshot_round_trip_matches_element_wise() {
-        // Same shape as the element-wise round-trip test: pending
-        // expirations, partially-dead lists, multi-edges, undrained dirty
-        // set — the sectioned path must restore an identically-evolving
-        // graph.
+        // Pending expirations, partially-dead adjacency (pre-compaction),
+        // multi-edges, a non-trivial live-node order, and an undrained
+        // dirty set (tracking on): the restored graph must match element
+        // by element and evolve identically.
         let mut g = TdnGraph::new();
         g.set_dirty_tracking(true);
         for i in 1..=10u32 {
@@ -1525,10 +1419,22 @@ mod tests {
         let map = codec::SectionMap::from_single(&blob).expect("resolve");
         let mut h = TdnGraph::read_sections(&map, "g.").expect("sectioned restore");
         h.check_invariants();
-        assert!(h.dirty_tracking());
-        assert_eq!(g.dirty_nodes(), h.dirty_nodes());
+        assert!(h.dirty_tracking(), "tracking flag must survive");
+        assert_eq!(g.now(), h.now());
+        assert_eq!(g.edge_count(), h.edge_count());
+        assert_eq!(g.node_count(), h.node_count());
+        assert_eq!(
+            g.live_nodes().as_slice(),
+            h.live_nodes().as_slice(),
+            "live-node position order must survive verbatim"
+        );
+        assert_eq!(
+            g.dirty_nodes(),
+            h.dirty_nodes(),
+            "undrained dirty set must survive the round trip verbatim"
+        );
         let range = |g: &TdnGraph| -> Vec<LiveEdge> { g.edges_with_remaining_in(1, 600).collect() };
-        assert_eq!(range(&g), range(&h));
+        assert_eq!(range(&g), range(&h), "bucket iteration order must match");
         for t in [6u64, 9, 12] {
             g.advance_to(t);
             h.advance_to(t);

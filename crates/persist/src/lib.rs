@@ -18,13 +18,15 @@
 //! A [`Manifest`] header (magic, format version, tracker kind, config
 //! hash, stream position, payload length, snapshot kind and lineage ids),
 //! the state payload, and an FNV-1a checksum — see [`manifest`] for the
-//! byte layout and `DESIGN.md § Scale-ready persistence` for what is and
-//! is not serialized. Since format 3 the payload is a **sectioned
-//! container** (`codec::SectionWriter`): named, length-prefixed,
-//! individually checksummed sections behind a table of contents, so
-//! corruption reports name the failing section and unchanged sections can
-//! be elided from delta checkpoints. Format-2 files (monolithic payload)
-//! restore through the retained legacy path.
+//! byte layout and `DESIGN.md § Persistence & recovery` for what is and
+//! is not serialized. The payload is a **sectioned container**
+//! (`codec::SectionWriter`): named, length-prefixed, individually
+//! checksummed sections behind a table of contents, so corruption reports
+//! name the failing section and unchanged sections can be elided from
+//! delta checkpoints. Sections are the only encoding this crate writes.
+//! Older files still restore through read-only decoders
+//! ([`Persist::read_legacy`]): format 2 (a flat, monolithic payload) and
+//! format-3 payloads whose one `"state"` section holds that flat layout.
 //!
 //! ## Base + delta checkpoints
 //!
@@ -95,102 +97,73 @@ pub use manifest::{Manifest, SnapshotKind, TrackerKind, FORMAT_VERSION, MAGIC, M
 
 /// A tracker type that can be checkpointed and warm-restarted.
 ///
-/// Implementations delegate to the tracker's own `write_snapshot` /
-/// `read_snapshot` methods (which live next to the private state they
+/// Implementations delegate to the tracker's own `write_sections` /
+/// `read_sections` methods (which live next to the private state they
 /// serialize); this trait adds the manifest kind tag so the persistence
-/// layer can refuse to decode a payload into the wrong type.
-///
-/// The sectioned hooks ([`Persist::write_sections`] /
-/// [`Persist::read_sections`]) drive the format-3 payload. The defaults
-/// wrap the monolithic state in a single `"state"` section — correct for
-/// every tracker, but deltas then only dedup when the *entire* state is
-/// byte-identical. Trackers that want fine-grained deltas (SIEVEADN's
-/// graph chunks, sieve ladder, memo) override both hooks.
+/// layer can refuse to decode a payload into the wrong type. Sections are
+/// the only checkpoint encoding: a section whose bytes (or generation
+/// counter) match the parent save becomes a reference, which is what makes
+/// a save a *delta*.
 pub trait Persist: Sized {
     /// Manifest tag for this tracker type.
     const KIND: TrackerKind;
 
-    /// Appends the tracker's full live state to `w` (format-2 layout; also
-    /// the payload of the default `"state"` section).
-    fn write_state(&self, w: &mut codec::Writer);
-
-    /// Rebuilds a tracker from bytes produced by [`Persist::write_state`].
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self>;
-
-    /// Emits the tracker's state as named sections into `sink`. Sections
-    /// whose bytes (or generation counters) match the sink's parent index
-    /// become references automatically — that is what makes a save a
-    /// *delta*.
-    fn write_sections(&self, sink: &mut codec::SectionSink) {
-        let mut w = codec::Writer::new();
-        self.write_state(&mut w);
-        sink.put("state", w.into_vec());
-    }
+    /// Emits the tracker's state as named sections into `sink`.
+    fn write_sections(&self, sink: &mut codec::SectionSink);
 
     /// Rebuilds a tracker from a resolved [`codec::SectionMap`] (a lone
     /// base container, or a fully resolved delta chain).
-    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError> {
-        let mut r = map.reader("state")?;
-        let tracker = Self::read_state(&mut r)?;
-        r.finish()?;
-        Ok(tracker)
-    }
+    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError>;
+
+    /// Decodes the flat state layout older builds wrote: a format-2
+    /// payload, or the single `"state"` section of a format-3 payload.
+    /// Read only — nothing writes this layout any more.
+    fn read_legacy(r: &mut codec::Reader<'_>) -> codec::Result<Self>;
 }
 
-impl Persist for SieveAdnTracker {
-    const KIND: TrackerKind = TrackerKind::SieveAdn;
+/// Implements [`Persist`] by delegating to the tracker's inherent
+/// `write_sections` / `read_sections` / `read_snapshot` methods.
+macro_rules! impl_persist {
+    ($tracker:ty, $kind:expr) => {
+        impl Persist for $tracker {
+            const KIND: TrackerKind = $kind;
 
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
-    }
+            fn write_sections(&self, sink: &mut codec::SectionSink) {
+                <$tracker>::write_sections(self, sink);
+            }
 
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        SieveAdnTracker::read_snapshot(r)
-    }
+            fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError> {
+                Ok(<$tracker>::read_sections(map)?)
+            }
 
-    fn write_sections(&self, sink: &mut codec::SectionSink) {
-        SieveAdnTracker::write_sections(self, sink);
-    }
-
-    fn read_sections(map: &codec::SectionMap) -> Result<Self, PersistError> {
-        Ok(SieveAdnTracker::read_sections(map)?)
-    }
+            fn read_legacy(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
+                <$tracker>::read_snapshot(r)
+            }
+        }
+    };
 }
 
-impl Persist for BasicReduction {
-    const KIND: TrackerKind = TrackerKind::BasicReduction;
+impl_persist!(SieveAdnTracker, TrackerKind::SieveAdn);
+impl_persist!(BasicReduction, TrackerKind::BasicReduction);
+impl_persist!(HistApprox, TrackerKind::HistApprox);
+impl_persist!(RandomTracker, TrackerKind::Random);
 
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
+/// Decodes a resolved section map. A format-3 payload of HistApprox,
+/// BasicReduction or Random holds the flat state in one `"state"` section,
+/// which goes to the legacy decoder.
+fn read_map<T: Persist>(format_version: u32, map: &codec::SectionMap) -> Result<T, PersistError> {
+    if format_version == 3 && map.contains("state") {
+        return read_flat(map.payload("state")?);
     }
-
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        BasicReduction::read_snapshot(r)
-    }
+    T::read_sections(map)
 }
 
-impl Persist for HistApprox {
-    const KIND: TrackerKind = TrackerKind::HistApprox;
-
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
-    }
-
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        HistApprox::read_snapshot(r)
-    }
-}
-
-impl Persist for RandomTracker {
-    const KIND: TrackerKind = TrackerKind::Random;
-
-    fn write_state(&self, w: &mut codec::Writer) {
-        self.write_snapshot(w);
-    }
-
-    fn read_state(r: &mut codec::Reader<'_>) -> codec::Result<Self> {
-        RandomTracker::read_snapshot(r)
-    }
+/// Decodes a flat (format-2) state layout, which must be consumed whole.
+fn read_flat<T: Persist>(bytes: &[u8]) -> Result<T, PersistError> {
+    let mut r = codec::Reader::new(bytes);
+    let tracker = T::read_legacy(&mut r)?;
+    r.finish()?;
+    Ok(tracker)
 }
 
 /// Fingerprints a tracker configuration (FNV-1a over its exact serialized
@@ -218,19 +191,37 @@ fn snapshot_id_for(payload_checksum: u64, step: u64, parent_id: u64) -> u64 {
     codec::fnv1a64(w.as_slice())
 }
 
-/// Wraps a finished section container in the format-3 envelope: manifest
-/// header, payload, and a trailing FNV-1a checksum covering *both* (so a
-/// flipped bit anywhere in the file fails the restore). Returns the bytes
-/// and the content-derived snapshot id recorded in the header.
-fn envelope<T: Persist>(
+/// One encoded save.
+struct Encoded {
+    /// The file bytes: manifest header, sectioned payload, and a trailing
+    /// FNV-1a checksum covering *both* (so a flipped bit anywhere in the
+    /// file fails the restore).
+    bytes: Vec<u8>,
+    /// Every section written, for the next delta.
+    next: codec::ParentIndex,
+    /// Content-derived snapshot id recorded in the header.
+    snapshot_id: u64,
+    /// Sections written inline and as references to the parent.
+    counts: (usize, usize),
+}
+
+/// Encodes a base (`parent` is `None`) or a delta against `parent` (its
+/// section index and snapshot id).
+fn encode<T: Persist>(
+    tracker: &T,
     cfg: &TrackerConfig,
     step: u64,
-    snapshot_kind: SnapshotKind,
-    parent_id: u64,
-    payload: Vec<u8>,
-) -> (Vec<u8>, u64) {
-    let payload_checksum = codec::fnv1a64(&payload);
-    let snapshot_id = snapshot_id_for(payload_checksum, step, parent_id);
+    parent: Option<(&codec::ParentIndex, u64)>,
+) -> Encoded {
+    let (index, snapshot_kind, parent_id) = match parent {
+        None => (codec::ParentIndex::new(), SnapshotKind::Base, 0),
+        Some((index, id)) => (index.clone(), SnapshotKind::Delta, id),
+    };
+    let mut sink = codec::SectionSink::new(index);
+    tracker.write_sections(&mut sink);
+    let counts = sink.counts();
+    let (payload, next) = sink.finish();
+    let snapshot_id = snapshot_id_for(codec::fnv1a64(&payload), step, parent_id);
     let mut w = codec::Writer::new();
     Manifest {
         format_version: FORMAT_VERSION,
@@ -247,7 +238,12 @@ fn envelope<T: Persist>(
     bytes.extend_from_slice(&payload);
     let file_checksum = codec::fnv1a64(&bytes);
     bytes.extend_from_slice(&file_checksum.to_le_bytes());
-    (bytes, snapshot_id)
+    Encoded {
+        bytes,
+        next,
+        snapshot_id,
+        counts,
+    }
 }
 
 /// Serializes a self-contained base checkpoint into memory: manifest
@@ -255,7 +251,7 @@ fn envelope<T: Persist>(
 /// position — the number of steps the tracker has already processed
 /// (feeding resumes at that index).
 pub fn checkpoint_to_vec<T: Persist>(tracker: &T, cfg: &TrackerConfig, step: u64) -> Vec<u8> {
-    checkpoint_base_to_vec(tracker, cfg, step).0
+    encode(tracker, cfg, step, None).bytes
 }
 
 /// Like [`checkpoint_to_vec`], but also returns the [`codec::ParentIndex`]
@@ -267,11 +263,8 @@ pub fn checkpoint_base_to_vec<T: Persist>(
     cfg: &TrackerConfig,
     step: u64,
 ) -> (Vec<u8>, codec::ParentIndex, u64) {
-    let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
-    tracker.write_sections(&mut sink);
-    let (payload, next) = sink.finish();
-    let (bytes, snapshot_id) = envelope::<T>(cfg, step, SnapshotKind::Base, 0, payload);
-    (bytes, next, snapshot_id)
+    let e = encode(tracker, cfg, step, None);
+    (e.bytes, e.next, e.snapshot_id)
 }
 
 /// Serializes a delta checkpoint: sections unchanged since the parent
@@ -287,11 +280,8 @@ pub fn checkpoint_delta_to_vec<T: Persist>(
     parent: &codec::ParentIndex,
     parent_id: u64,
 ) -> (Vec<u8>, codec::ParentIndex, u64) {
-    let mut sink = codec::SectionSink::new(parent.clone());
-    tracker.write_sections(&mut sink);
-    let (payload, next) = sink.finish();
-    let (bytes, snapshot_id) = envelope::<T>(cfg, step, SnapshotKind::Delta, parent_id, payload);
-    (bytes, next, snapshot_id)
+    let e = encode(tracker, cfg, step, Some((parent, parent_id)));
+    (e.bytes, e.next, e.snapshot_id)
 }
 
 /// Validates everything that can be checked without touching tracker
@@ -334,7 +324,7 @@ fn validate_envelope<'a, T: Persist>(
     let mut tail = codec::Reader::new(&bytes[header_len + payload_len..]);
     let stored_checksum = tail.get_u64()?;
     tail.finish()?;
-    // Format 3 checksums header + payload together; format 2 predates that
+    // Formats 3 and 4 checksum header + payload together; format 2 predates that
     // and covers the payload only.
     let computed = if manifest.format_version >= 3 {
         codec::fnv1a64(&bytes[..header_len + payload_len])
@@ -349,8 +339,8 @@ fn validate_envelope<'a, T: Persist>(
 
 /// Restores a tracker from in-memory checkpoint bytes, verifying magic,
 /// version, tracker kind, config hash, payload length, and checksum before
-/// decoding. Handles format-2 (monolithic) and format-3 (sectioned) base
-/// snapshots; a delta fails with [`PersistError::MissingBase`] — resolve
+/// decoding. Handles sectioned base snapshots and the flat layouts of
+/// formats 2 and 3 (see [`Persist::read_legacy`]); a delta fails with [`PersistError::MissingBase`] — resolve
 /// its parents first and use [`restore_from_chain`], or go through
 /// [`load_checkpoint`] which does so automatically. Returns the stream
 /// position alongside the tracker.
@@ -365,14 +355,9 @@ pub fn restore_from_slice<T: Persist>(
         }),
         SnapshotKind::Base if manifest.format_version >= 3 => {
             let map = codec::SectionMap::from_single(payload)?;
-            Ok((manifest.step, T::read_sections(&map)?))
+            Ok((manifest.step, read_map(manifest.format_version, &map)?))
         }
-        SnapshotKind::Base => {
-            let mut pr = codec::Reader::new(payload);
-            let tracker = T::read_state(&mut pr)?;
-            pr.finish()?;
-            Ok((manifest.step, tracker))
-        }
+        SnapshotKind::Base => Ok((manifest.step, read_flat(payload)?)),
     }
 }
 
@@ -397,6 +382,7 @@ pub fn restore_from_chain<T: Persist>(
     }
     let mut payloads: Vec<&[u8]> = Vec::with_capacity(links.len());
     let mut tip_step = 0u64;
+    let mut tip_version = 0u32;
     let mut expected_parent = 0u64;
     let mut seen = HashSet::new();
     for (i, bytes) in links.iter().enumerate() {
@@ -408,6 +394,7 @@ pub fn restore_from_chain<T: Persist>(
         }
         if i == 0 {
             tip_step = m.step;
+            tip_version = m.format_version;
         } else if m.snapshot_id != expected_parent {
             return Err(PersistError::MissingBase {
                 snapshot_id: expected_parent,
@@ -436,7 +423,7 @@ pub fn restore_from_chain<T: Persist>(
         payloads.push(payload);
     }
     let map = codec::SectionMap::resolve(&payloads)?;
-    Ok((tip_step, T::read_sections(&map)?))
+    Ok((tip_step, read_map(tip_version, &map)?))
 }
 
 /// Parses just the manifest from in-memory checkpoint bytes (no payload
@@ -768,27 +755,7 @@ impl CheckpointChain {
         // the next save starts a fresh base instead of chaining onto a
         // snapshot whose on-disk fate is unknown.
         self.tip = None;
-        let mut sink = codec::SectionSink::new(codec::ParentIndex::new());
-        tracker.write_sections(&mut sink);
-        let (fresh, refs) = sink.counts();
-        let (payload, next) = sink.finish();
-        let (bytes, snapshot_id) = envelope::<T>(cfg, step, SnapshotKind::Base, 0, payload);
-        let path = self.write_file(step, snapshot_id, &bytes)?;
-        self.tip = Some(ChainTip {
-            snapshot_id,
-            parent: next,
-            deltas_since_base: 0,
-            base_bytes: bytes.len() as u64,
-            delta_bytes: 0,
-        });
-        Ok(SaveReceipt {
-            path,
-            snapshot_id,
-            kind: SnapshotKind::Base,
-            bytes: bytes.len() as u64,
-            fresh_sections: fresh,
-            ref_sections: refs,
-        })
+        self.write(encode(tracker, cfg, step, None), step, None)
     }
 
     /// Writes a delta against the current tip. Falls back to
@@ -806,27 +773,48 @@ impl CheckpointChain {
         let Some(tip) = self.tip.take() else {
             return self.save_base(tracker, cfg, step);
         };
-        let mut sink = codec::SectionSink::new(tip.parent.clone());
-        tracker.write_sections(&mut sink);
-        let (fresh, refs) = sink.counts();
-        let (payload, next) = sink.finish();
-        let (bytes, snapshot_id) =
-            envelope::<T>(cfg, step, SnapshotKind::Delta, tip.snapshot_id, payload);
-        let path = self.write_file(step, snapshot_id, &bytes)?;
+        let encoded = encode(tracker, cfg, step, Some((&tip.parent, tip.snapshot_id)));
+        self.write(encoded, step, Some(tip))
+    }
+
+    /// Writes an encoded save to its file and makes it the chain's tip
+    /// (`parent` is the tip it is a delta against, `None` for a base).
+    fn write(
+        &mut self,
+        e: Encoded,
+        step: u64,
+        parent: Option<ChainTip>,
+    ) -> Result<SaveReceipt, PersistError> {
+        self.io.create_dir_all(&self.dir)?;
+        let path = self.dir.join(format!(
+            "{}-{step:08}-{:016x}.tdnc",
+            self.prefix, e.snapshot_id
+        ));
+        write_atomic_with(self.io.as_ref(), &path, &e.bytes)?;
+        let bytes = e.bytes.len() as u64;
+        let (kind, deltas_since_base, base_bytes, delta_bytes) = match parent {
+            None => (SnapshotKind::Base, 0, bytes, 0),
+            Some(p) => (
+                SnapshotKind::Delta,
+                p.deltas_since_base + 1,
+                p.base_bytes,
+                p.delta_bytes + bytes,
+            ),
+        };
         self.tip = Some(ChainTip {
-            snapshot_id,
-            parent: next,
-            deltas_since_base: tip.deltas_since_base + 1,
-            base_bytes: tip.base_bytes,
-            delta_bytes: tip.delta_bytes + bytes.len() as u64,
+            snapshot_id: e.snapshot_id,
+            parent: e.next,
+            deltas_since_base,
+            base_bytes,
+            delta_bytes,
         });
         Ok(SaveReceipt {
             path,
-            snapshot_id,
-            kind: SnapshotKind::Delta,
-            bytes: bytes.len() as u64,
-            fresh_sections: fresh,
-            ref_sections: refs,
+            snapshot_id: e.snapshot_id,
+            kind,
+            bytes,
+            fresh_sections: e.counts.0,
+            ref_sections: e.counts.1,
         })
     }
 
@@ -858,20 +846,6 @@ impl CheckpointChain {
             }
         }
         Ok(best)
-    }
-
-    fn write_file(
-        &self,
-        step: u64,
-        snapshot_id: u64,
-        bytes: &[u8],
-    ) -> Result<PathBuf, PersistError> {
-        self.io.create_dir_all(&self.dir)?;
-        let path = self
-            .dir
-            .join(format!("{}-{step:08}-{snapshot_id:016x}.tdnc", self.prefix));
-        write_atomic_with(self.io.as_ref(), &path, bytes)?;
-        Ok(path)
     }
 }
 

@@ -1,13 +1,13 @@
 //! The checkpoint manifest header.
 //!
 //! Every checkpoint file starts with a fixed-layout header that can be
-//! parsed without decoding the (much larger) state payload. The format-3
-//! layout:
+//! parsed without decoding the (much larger) state payload. The layout
+//! (formats 3 and 4; they differ only in the payload's sections):
 //!
 //! | field | bytes | offset | contents |
 //! |-------|-------|--------|----------|
 //! | magic | 8 | 0 | `b"TDNCKPT\0"` |
-//! | format version | 4 | 8 | little-endian `u32`, currently 3 |
+//! | format version | 4 | 8 | little-endian `u32`, currently 4 |
 //! | tracker kind | 1 | 12 | [`TrackerKind`] tag |
 //! | config hash | 8 | 13 | FNV-1a of the serialized `TrackerConfig` |
 //! | stream position | 8 | 21 | steps already processed (restore resumes here) |
@@ -30,24 +30,26 @@
 //!
 //! Versioning rule: the version is bumped whenever any snapshot layout
 //! changes; readers reject versions they do not understand *before*
-//! touching the payload (see `DESIGN.md § Scale-ready persistence`).
+//! touching the payload (see `DESIGN.md § Persistence & recovery`).
 
 use crate::error::PersistError;
 
 /// File magic: identifies TDN checkpoints regardless of version.
 pub const MAGIC: [u8; 8] = *b"TDNCKPT\0";
 
-/// The format version this build writes. Version 3 introduced sectioned
+/// The format version this build writes. Version 4 gives every tracker
+/// its own sections (HistApprox, BasicReduction and Random wrote one flat
+/// `"state"` section under version 3). Version 3 introduced sectioned
 /// payloads (per-section checksums behind a table of contents) and the
-/// base + delta snapshot model; version 2 files (monolithic payload) are
-/// still read. Version 2 added the incremental spread-maintenance engine's
-/// state to the payload layout.
-pub const FORMAT_VERSION: u32 = 3;
+/// base + delta snapshot model. Version 2 (monolithic payload) added the
+/// incremental spread-maintenance engine's state. Versions 2 and 3 are
+/// still read.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Oldest format version this build still reads.
 pub const MIN_READ_VERSION: u32 = 2;
 
-/// Byte offset of the payload in a format-3 file (the header is padded to
+/// Byte offset of the payload in a format-3 or -4 file (the header is padded to
 /// 64 bytes so aligned word runs inside the sectioned payload stay
 /// 8-byte aligned on disk).
 pub const V3_PAYLOAD_OFFSET: usize = 64;
@@ -133,7 +135,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serializes the header in the format-3 layout (64 bytes).
+    /// Serializes the header in the 64-byte layout.
     pub(crate) fn write(&self, w: &mut codec::Writer) {
         debug_assert_eq!(self.format_version, FORMAT_VERSION);
         for b in MAGIC {

@@ -4,19 +4,23 @@
 //! every truncation, bit flip, splice, or shuffle has to surface as a
 //! typed [`PersistError`]. These tests feed systematically and
 //! pseudo-randomly damaged chain files through [`restore_from_chain`]
-//! (and the single-file path) and assert that the result is always an
-//! `Err`: a panic anywhere in the envelope validation, section
-//! resolution, or tracker decode stack fails the test harness itself,
-//! so a pass certifies the whole restore path panic-free on these
-//! inputs.
+//! and assert that the result is always an `Err`: a panic anywhere in the
+//! envelope validation, section resolution, or tracker decode stack fails
+//! the test harness itself. Two further sweeps reach past the envelope
+//! checksum into the decoders: damaged sections re-sealed into a valid
+//! container, and damaged flat payloads of the committed format-2
+//! fixtures.
 //!
 //! The damage generator is a deterministic xorshift so failures
 //! reproduce exactly; no wall-clock or OS randomness is involved.
 
-use tdn_core::{BasicReduction, HistApprox, InfluenceTracker, SieveAdnTracker, TrackerConfig};
+use tdn_core::{
+    BasicReduction, HistApprox, InfluenceTracker, RandomTracker, SieveAdnTracker, TrackerConfig,
+};
+use tdn_persist::manifest::{V2_PAYLOAD_OFFSET, V3_PAYLOAD_OFFSET};
 use tdn_persist::{
-    checkpoint_base_to_vec, checkpoint_delta_to_vec, restore_from_chain, restore_from_slice,
-    PersistError,
+    checkpoint_base_to_vec, checkpoint_delta_to_vec, checkpoint_to_vec, peek_manifest,
+    restore_from_chain, Persist, PersistError, FORMAT_VERSION,
 };
 use tdn_streams::TimedEdge;
 
@@ -165,58 +169,131 @@ fn shuffled_spliced_and_foreign_chains_error() {
     assert!(restore_sieve(&[d2.clone(), foreign, base.clone()], &cfg).is_err());
 }
 
-#[test]
-fn single_file_restore_survives_random_damage_for_every_tracker() {
-    // The same sweep through `restore_from_slice` for each persisted
-    // tracker family, so per-tracker `read_state`/`read_sections`
-    // decoders get corrupt bytes too (BasicReduction/HistApprox do not
-    // override the sectioned hooks). Every damaged prefix is strictly
-    // shorter than the original, so restore can never legitimately
-    // succeed — any `Ok` (or panic) is a failure.
-    fn sweep<T: tdn_persist::Persist>(
-        bytes: &[u8],
-        cfg: &TrackerConfig,
-        rng: &mut Rng,
-        label: &str,
-    ) {
-        for cut in 0..bytes.len() {
-            let mut damaged = bytes[..cut].to_vec();
-            if !damaged.is_empty() {
-                let at = rng.below(damaged.len());
-                damaged[at] ^= 0x3C;
-            }
-            assert!(
-                restore_from_slice::<T>(&damaged, cfg).is_err(),
-                "{label}: damaged prefix {cut}/{} restored",
-                bytes.len()
-            );
-        }
-    }
+// ---------------------------------------------------------------------------
+// Decoder sweeps
+//
+// The envelope checksum rejects every damaged file above before a tracker
+// decoder sees a byte. The sweeps below get past it, so the decoders
+// themselves must turn damage into typed errors: a truncated section or
+// flat payload must fail, a flipped byte may decode or fail, and nothing
+// may panic.
+// ---------------------------------------------------------------------------
 
-    let cfg = TrackerConfig::new(2, 0.15, 20);
+/// Seeded byte flips per damaged section or payload.
+const FLIPS: usize = 64;
+
+/// Calls `f` with every truncation of `bytes` (`true`) and with `FLIPS`
+/// seeded single-byte flips of it (`false`).
+fn for_each_damage(bytes: &[u8], rng: &mut Rng, mut f: impl FnMut(&[u8], bool)) {
+    for cut in 0..bytes.len() {
+        f(&bytes[..cut], true);
+    }
+    if bytes.is_empty() {
+        return;
+    }
+    for _ in 0..FLIPS {
+        let mut damaged = bytes.to_vec();
+        damaged[rng.below(bytes.len())] ^= 1 << rng.below(8);
+        f(&damaged, false);
+    }
+}
+
+/// Damages one section of a base checkpoint at a time, re-seals the
+/// container (so every section checksum holds), and decodes it with the
+/// tracker's own section decoder.
+fn sweep_sections<T: Persist>(bytes: &[u8], rng: &mut Rng, label: &str) {
+    let m = peek_manifest(bytes).expect("manifest parses");
+    assert_eq!(m.format_version, FORMAT_VERSION);
+    let payload = &bytes[V3_PAYLOAD_OFFSET..V3_PAYLOAD_OFFSET + m.payload_len as usize];
+    let reader = codec::SectionReader::parse(payload).expect("container parses");
+    let sections: Vec<(String, Vec<u8>)> = reader
+        .toc()
+        .entries()
+        .iter()
+        .map(|e| (e.name.clone(), reader.payload(&e.name).unwrap().to_vec()))
+        .collect();
+    let reseal = |target: &str, damaged: &[u8]| {
+        let mut w = codec::SectionWriter::new();
+        for (name, bytes) in &sections {
+            let bytes = if name == target { damaged } else { bytes };
+            w.put_section(name, bytes.to_vec());
+        }
+        codec::SectionMap::from_single(&w.finish()).expect("re-sealed container resolves")
+    };
+    assert!(
+        T::read_sections(&reseal("", &[])).is_ok(),
+        "{label}: pristine sections must decode"
+    );
+    for (name, original) in &sections {
+        for_each_damage(original, rng, |damaged, truncated| {
+            let res = T::read_sections(&reseal(name, damaged));
+            assert!(
+                !truncated || res.is_err(),
+                "{label}: section {name:?} truncated to {}/{} bytes decoded",
+                damaged.len(),
+                original.len()
+            );
+        });
+    }
+}
+
+#[test]
+fn section_damage_reaches_every_tracker_decoder() {
+    let cfg = TrackerConfig::new(2, 0.15, 6);
     let mut rng = Rng(0xBAD5_EED5_0F0F_0F0F);
+    let feed = |t: &mut dyn InfluenceTracker| {
+        for step in 0..4 {
+            t.step(step, &batch_for(step));
+        }
+    };
     let mut s = SieveAdnTracker::new(&cfg);
-    s.step(0, &batch_for(0));
-    sweep::<SieveAdnTracker>(
-        &checkpoint_base_to_vec(&s, &cfg, 1).0,
-        &cfg,
-        &mut rng,
-        "sieve",
-    );
+    feed(&mut s);
+    sweep_sections::<SieveAdnTracker>(&checkpoint_to_vec(&s, &cfg, 4), &mut rng, "sieve");
     let mut b = BasicReduction::new(&cfg);
-    b.step(0, &batch_for(0));
-    sweep::<BasicReduction>(
-        &checkpoint_base_to_vec(&b, &cfg, 1).0,
-        &cfg,
-        &mut rng,
-        "basic",
-    );
+    feed(&mut b);
+    sweep_sections::<BasicReduction>(&checkpoint_to_vec(&b, &cfg, 4), &mut rng, "basic");
     let mut h = HistApprox::new(&cfg);
-    h.step(0, &batch_for(0));
-    sweep::<HistApprox>(
-        &checkpoint_base_to_vec(&h, &cfg, 1).0,
-        &cfg,
-        &mut rng,
-        "hist",
+    feed(&mut h);
+    sweep_sections::<HistApprox>(&checkpoint_to_vec(&h, &cfg, 4), &mut rng, "hist");
+    let mut r = RandomTracker::new(&cfg, 7);
+    feed(&mut r);
+    sweep_sections::<RandomTracker>(&checkpoint_to_vec(&r, &cfg, 4), &mut rng, "random");
+}
+
+/// Feeds damaged copies of a committed format-2 fixture's flat payload to
+/// the tracker's legacy decoder.
+fn sweep_flat<T: Persist>(fixture: &str, rng: &mut Rng) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(fixture);
+    let bytes = std::fs::read(&path).expect("golden fixture readable");
+    let m = peek_manifest(&bytes).expect("manifest parses");
+    assert_eq!(m.format_version, 2, "{fixture}");
+    let payload = &bytes[V2_PAYLOAD_OFFSET..V2_PAYLOAD_OFFSET + m.payload_len as usize];
+    let decode = |bytes: &[u8]| {
+        let mut r = codec::Reader::new(bytes);
+        T::read_legacy(&mut r).and_then(|_| r.finish())
+    };
+    assert!(
+        decode(payload).is_ok(),
+        "{fixture}: pristine payload must decode"
     );
+    for_each_damage(payload, rng, |damaged, truncated| {
+        let res = decode(damaged);
+        assert!(
+            !truncated || res.is_err(),
+            "{fixture}: payload truncated to {}/{} bytes decoded",
+            damaged.len(),
+            payload.len()
+        );
+    });
+}
+
+#[test]
+fn flat_payload_damage_reaches_the_legacy_decoders() {
+    let mut rng = Rng(0x0F1A_7DEC_0DE5_5EED);
+    sweep_flat::<SieveAdnTracker>("checkpoint_sieve_adn_incremental.tdnc", &mut rng);
+    sweep_flat::<HistApprox>("checkpoint_hist_approx_incremental.tdnc", &mut rng);
+    sweep_flat::<HistApprox>("checkpoint_hist_approx_full.tdnc", &mut rng);
+    sweep_flat::<BasicReduction>("checkpoint_basic_reduction_incremental.tdnc", &mut rng);
 }

@@ -346,6 +346,40 @@ fn spread_engine_state_survives_restore() {
     );
 }
 
+/// A tracker over its memory budget sheds (memo caches, arena capacity,
+/// then the incremental→full fallback) and tallies each level taken. The
+/// checkpoint carries the full engine tallies, shed counters included, so
+/// the restored tracker reports exactly what the live one does.
+#[test]
+fn shed_tallies_survive_restore() {
+    fn check<T: InfluenceTracker + Persist>(
+        mut live: T,
+        stats: impl Fn(&T) -> SpreadStatsSnapshot,
+    ) {
+        let cfg = TrackerConfig::new(3, 0.2, 8).with_memory_budget(1);
+        for t in 0..6u64 {
+            live.step(
+                t,
+                &[
+                    TimedEdge::new(t as u32, (t + 7) as u32, 3),
+                    TimedEdge::new(0u32, (t + 14) as u32, 5),
+                ],
+            );
+        }
+        let before = stats(&live);
+        assert!(
+            before.shed_memo > 0 && before.shed_arena > 0 && before.shed_fallback > 0,
+            "budget must force every shed level: {before:?}"
+        );
+        let bytes = checkpoint_to_vec(&live, &cfg, 6);
+        let (_, warm): (u64, T) = restore_from_slice(&bytes, &cfg).expect("restores");
+        assert_eq!(stats(&warm), before);
+    }
+    let cfg = TrackerConfig::new(3, 0.2, 8).with_memory_budget(1);
+    check(BasicReduction::new(&cfg), BasicReduction::spread_stats);
+    check(HistApprox::new(&cfg), HistApprox::spread_stats);
+}
+
 /// Targeted corruption of the new engine fields: the payload region
 /// holding the spread mode, engine tallies, and memo is covered by the
 /// checksum and by semantic validation, so flipped bytes there are typed
@@ -365,11 +399,11 @@ fn spread_engine_field_corruption_is_typed() {
         );
     }
     let bytes = checkpoint_to_vec(&tracker, &cfg, 6);
-    // The SieveAdnTracker payload layout starts with the oracle tally
-    // (8 bytes), the engine tallies (8 × 8 bytes), then the instance
-    // snapshot beginning with the mode byte and ending with the memo —
-    // walk a stride of offsets across all of it.
-    let payload_start = 37; // manifest header length
+    // The sectioned payload starts at byte 64: the tracker `meta` section
+    // (oracle tally, engine tallies), then the instance's meta (mode
+    // byte), graph chunks, sieve and memo — walk a stride of offsets
+    // across the header's tail and all of the payload.
+    let payload_start = 37;
     for at in (payload_start..bytes.len()).step_by(5) {
         let mut corrupt = bytes.clone();
         corrupt[at] ^= 0x3C;

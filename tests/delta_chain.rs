@@ -44,12 +44,8 @@ fn cfg() -> TrackerConfig {
     TrackerConfig::new(3, 0.2, 8)
 }
 
-fn make_tracker(mode: SpreadMode) -> SieveAdnTracker {
-    SieveAdnTracker::new(&cfg()).with_spread_mode(mode)
-}
-
 /// Uninterrupted reference run: per-step solutions and final tally.
-fn run_straight(mut tracker: SieveAdnTracker, evs: &[Ev]) -> (Vec<Solution>, u64) {
+fn run_straight<T: InfluenceTracker>(tracker: &mut T, evs: &[Ev]) -> (Vec<Solution>, u64) {
     let mut sols = Vec::new();
     for t in 0..=horizon(evs) {
         sols.push(tracker.step(t, &batch_at(evs, t)));
@@ -60,8 +56,8 @@ fn run_straight(mut tracker: SieveAdnTracker, evs: &[Ev]) -> (Vec<Solution>, u64
 
 /// Runs to `cut3` saving a base at `cut1` and deltas at `cut2`/`cut3`,
 /// then restores from the three-link chain and finishes the stream.
-fn run_chained(
-    mut tracker: SieveAdnTracker,
+fn run_chained<T: InfluenceTracker + Persist>(
+    tracker: &mut T,
     evs: &[Ev],
     cuts: (Time, Time, Time),
 ) -> Result<(Vec<Solution>, u64), TestCaseError> {
@@ -70,21 +66,19 @@ fn run_chained(
     for t in 0..cut1 {
         sols.push(tracker.step(t, &batch_at(evs, t)));
     }
-    let (base, idx, base_id) = checkpoint_base_to_vec(&tracker, &cfg(), cut1);
+    let (base, idx, base_id) = checkpoint_base_to_vec(tracker, &cfg(), cut1);
     for t in cut1..cut2 {
         sols.push(tracker.step(t, &batch_at(evs, t)));
     }
-    let (d1, idx, d1_id) = checkpoint_delta_to_vec(&tracker, &cfg(), cut2, &idx, base_id);
+    let (d1, idx, d1_id) = checkpoint_delta_to_vec(tracker, &cfg(), cut2, &idx, base_id);
     for t in cut2..cut3 {
         sols.push(tracker.step(t, &batch_at(evs, t)));
     }
-    let (d2, _, _) = checkpoint_delta_to_vec(&tracker, &cfg(), cut3, &idx, d1_id);
-    drop(tracker);
-    let (resume, mut warm): (u64, SieveAdnTracker) =
-        match restore_from_chain(&[&d2, &d1, &base], &cfg()) {
-            Ok(ok) => ok,
-            Err(e) => return Err(TestCaseError::fail(format!("chain restore failed: {e}"))),
-        };
+    let (d2, _, _) = checkpoint_delta_to_vec(tracker, &cfg(), cut3, &idx, d1_id);
+    let (resume, mut warm): (u64, T) = match restore_from_chain(&[&d2, &d1, &base], &cfg()) {
+        Ok(ok) => ok,
+        Err(e) => return Err(TestCaseError::fail(format!("chain restore failed: {e}"))),
+    };
     prop_assert_eq!(resume, cut3, "chain tip stream position drifted");
     for t in cut3..=horizon(evs) {
         sols.push(warm.step(t, &batch_at(evs, t)));
@@ -95,8 +89,8 @@ fn run_chained(
 
 /// Runs to `cut`, saves one self-contained base, restores it directly,
 /// and finishes the stream.
-fn run_direct(
-    mut tracker: SieveAdnTracker,
+fn run_direct<T: InfluenceTracker + Persist>(
+    tracker: &mut T,
     evs: &[Ev],
     cut: Time,
 ) -> Result<(Vec<Solution>, u64), TestCaseError> {
@@ -104,9 +98,8 @@ fn run_direct(
     for t in 0..cut {
         sols.push(tracker.step(t, &batch_at(evs, t)));
     }
-    let bytes = checkpoint_to_vec(&tracker, &cfg(), cut);
-    drop(tracker);
-    let (resume, mut warm): (u64, SieveAdnTracker) = match restore_from_slice(&bytes, &cfg()) {
+    let bytes = checkpoint_to_vec(tracker, &cfg(), cut);
+    let (resume, mut warm): (u64, T) = match restore_from_slice(&bytes, &cfg()) {
         Ok(ok) => ok,
         Err(e) => return Err(TestCaseError::fail(format!("direct restore failed: {e}"))),
     };
@@ -118,12 +111,56 @@ fn run_direct(
     Ok((sols, calls))
 }
 
+/// Chain restore ≡ direct restore ≡ uninterrupted run for one tracker
+/// family, in both exact spread modes at 1 and 4 threads.
+fn assert_chain_identity<T: InfluenceTracker + Persist>(
+    make: impl Fn(SpreadMode) -> T,
+    evs: &[Ev],
+    cuts: (Time, Time, Time),
+) -> Result<(), TestCaseError> {
+    for mode in [SpreadMode::Incremental, SpreadMode::FullRecompute] {
+        for threads in [1usize, 4] {
+            let (reference, chained, direct) = exec::with_threads(threads, || {
+                (
+                    run_straight(&mut make(mode), evs),
+                    run_chained(&mut make(mode), evs, cuts),
+                    run_direct(&mut make(mode), evs, cuts.2),
+                )
+            });
+            let chained = chained?;
+            let direct = direct?;
+            let family = std::any::type_name::<T>();
+            prop_assert_eq!(
+                &chained.0,
+                &reference.0,
+                "chain diverged: {}, mode {:?}, {} threads, cuts {:?}",
+                family,
+                mode,
+                threads,
+                cuts
+            );
+            prop_assert_eq!(
+                chained.1,
+                reference.1,
+                "chain oracle tally diverged: {}, mode {:?}, {} threads",
+                family,
+                mode,
+                threads
+            );
+            prop_assert_eq!(&direct.0, &reference.0, "{} direct diverged", family);
+            prop_assert_eq!(direct.1, reference.1);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Chain restore ≡ direct restore ≡ uninterrupted run, across the
-    /// engine's full configuration matrix: both exact spread modes, each
-    /// on its one traversal path, at 1 and 4 threads.
+    /// Chain restore ≡ direct restore ≡ uninterrupted run for SIEVEADN,
+    /// HISTAPPROX and BASICREDUCTION, across the engine's full
+    /// configuration matrix: both exact spread modes, each on its one
+    /// traversal path, at 1 and 4 threads.
     #[test]
     fn chain_restore_is_bit_identical_across_mode_traversal_threads(
         evs in schedule(), a in 0u64..17, b in 0u64..17, c in 0u64..17
@@ -132,30 +169,9 @@ proptest! {
         cuts.sort_unstable();
         let h = horizon(&evs) + 1;
         let cuts = (cuts[0].min(h), cuts[1].min(h), cuts[2].min(h));
-        for mode in [SpreadMode::Incremental, SpreadMode::FullRecompute] {
-            for threads in [1usize, 4] {
-                let (reference, chained, direct) = exec::with_threads(threads, || {
-                    let reference = run_straight(make_tracker(mode), &evs);
-                    let chained = run_chained(make_tracker(mode), &evs, cuts);
-                    let direct = run_direct(make_tracker(mode), &evs, cuts.2);
-                    (reference, chained, direct)
-                });
-                let chained = chained?;
-                let direct = direct?;
-                prop_assert_eq!(
-                    &chained.0, &reference.0,
-                    "chain diverged: mode {:?}, {} threads, cuts {:?}",
-                    mode, threads, cuts
-                );
-                prop_assert_eq!(
-                    chained.1, reference.1,
-                    "chain oracle tally diverged: mode {:?}, {} threads",
-                    mode, threads
-                );
-                prop_assert_eq!(&direct.0, &reference.0);
-                prop_assert_eq!(direct.1, reference.1);
-            }
-        }
+        assert_chain_identity(|m| SieveAdnTracker::new(&cfg()).with_spread_mode(m), &evs, cuts)?;
+        assert_chain_identity(|m| HistApprox::new(&cfg()).with_spread_mode(m), &evs, cuts)?;
+        assert_chain_identity(|m| BasicReduction::new(&cfg()).with_spread_mode(m), &evs, cuts)?;
     }
 }
 
@@ -181,7 +197,7 @@ fn seeded_sketch_tracker() -> SieveAdnTracker {
     t
 }
 
-fn feed_six_steps(t: &mut SieveAdnTracker) {
+fn feed_six_steps(t: &mut impl InfluenceTracker) {
     for step in 0u64..6 {
         let batch: Vec<TimedEdge> = (0..8)
             .map(|i| {
@@ -197,7 +213,7 @@ fn feed_six_steps(t: &mut SieveAdnTracker) {
     }
 }
 
-/// Payload byte offset of the format-3 header (see `tdn_persist::manifest`).
+/// Payload byte offset of the sectioned formats (see `tdn_persist::manifest`).
 const V3_PAYLOAD_OFFSET: usize = 64;
 
 /// Rewrites the trailing envelope checksum so targeted *payload*
@@ -211,7 +227,7 @@ fn fix_envelope_checksum(bytes: &mut [u8]) {
 
 fn sectioned_payload(bytes: &[u8]) -> &[u8] {
     let m = tdn_persist::peek_manifest(bytes).expect("manifest parses");
-    assert_eq!(m.format_version, 3);
+    assert_eq!(m.format_version, tdn_persist::FORMAT_VERSION);
     &bytes[V3_PAYLOAD_OFFSET..V3_PAYLOAD_OFFSET + m.payload_len as usize]
 }
 
@@ -219,7 +235,7 @@ fn sectioned_payload(bytes: &[u8]) -> &[u8] {
 /// asserts each corruption surfaces as a `ChecksumMismatch` blaming that
 /// exact section. `required` guards against renames silently shrinking
 /// the sweep: every listed section must actually be present.
-fn sweep_section_bit_flips(bytes: &[u8], required: &[&str]) {
+fn sweep_section_bit_flips<T: Persist>(bytes: &[u8], required: &[&str]) {
     let toc = codec::SectionReader::parse(sectioned_payload(bytes))
         .expect("container parses")
         .toc()
@@ -228,7 +244,7 @@ fn sweep_section_bit_flips(bytes: &[u8], required: &[&str]) {
     for expected in required {
         assert!(
             names.iter().any(|n| n == expected),
-            "section {expected:?} missing from a SIEVEADN base checkpoint: {names:?}"
+            "section {expected:?} missing from a base checkpoint: {names:?}"
         );
     }
     for entry in toc.entries() {
@@ -240,7 +256,7 @@ fn sweep_section_bit_flips(bytes: &[u8], required: &[&str]) {
         let at = V3_PAYLOAD_OFFSET + entry.offset as usize + (entry.len as usize) / 2;
         corrupt[at] ^= 0x5A;
         fix_envelope_checksum(&mut corrupt);
-        match restore_from_slice::<SieveAdnTracker>(&corrupt, &cfg()) {
+        match restore_from_slice::<T>(&corrupt, &cfg()) {
             Err(PersistError::ChecksumMismatch {
                 section: Some(name),
             }) => {
@@ -263,7 +279,7 @@ fn section_bit_flips_name_the_failing_section() {
     let bytes = checkpoint_to_vec(&tracker, &cfg(), 6);
     // The tracker must emit its meta, the instance meta, at least one
     // graph chunk per direction, the sieve, and the memo.
-    sweep_section_bit_flips(
+    sweep_section_bit_flips::<SieveAdnTracker>(
         &bytes,
         &[
             "meta",
@@ -290,7 +306,7 @@ fn sketch_pool_bit_flips_name_the_sketch_section() {
         "seed stream must leave a non-empty pool or the sweep is vacuous"
     );
     let bytes = checkpoint_to_vec(&tracker, &cfg(), 6);
-    sweep_section_bit_flips(
+    sweep_section_bit_flips::<SieveAdnTracker>(
         &bytes,
         &[
             "meta",
@@ -402,4 +418,125 @@ fn golden_v2_fixtures_parse_as_implicit_bases() {
         assert_eq!(m.snapshot_id, 0);
         assert_eq!(m.parent_id, 0);
     }
+}
+
+// ---------------------------------------------------------------------------
+// HISTAPPROX instance naming
+// ---------------------------------------------------------------------------
+
+/// A stream on which HISTAPPROX prunes its deadline-10 instance at step 6
+/// and re-creates deadline 10 at step 7, between a base saved at step 5
+/// and a delta saved at step 8. The re-created instance is a different
+/// SIEVEADN whose arena generations match the pruned one's, so sections
+/// keyed by deadline would resolve to the dead instance's adjacency.
+const RECREATED: &[&[(u32, u32, Lifetime)]] = &[
+    &[(2, 0, 7)],
+    &[(4, 3, 9), (1, 4, 7), (1, 0, 9)],
+    &[],
+    &[(1, 0, 7), (4, 2, 3)],
+    &[(1, 2, 6), (0, 2, 3), (0, 4, 9)],
+    &[],
+    &[(0, 2, 1), (1, 3, 9)],
+    &[(4, 0, 3)],
+    &[(3, 0, 3), (1, 4, 8)],
+    &[(2, 0, 8), (0, 2, 8)],
+    &[(0, 1, 1), (3, 0, 7), (3, 2, 7)],
+];
+
+fn recreated_batch(t: Time) -> Vec<TimedEdge> {
+    RECREATED[t as usize]
+        .iter()
+        .map(|&(u, v, l)| TimedEdge::new(u, v, l))
+        .collect()
+}
+
+fn has_deadline(h: &HistApprox, deadline: Time) -> bool {
+    h.instances().any(|(d, _)| d == deadline)
+}
+
+#[test]
+fn hist_approx_recreated_deadline_restores_through_a_chain() {
+    let horizon = RECREATED.len() as Time;
+    let mut straight = HistApprox::new(&cfg());
+    let reference: Vec<Solution> = (0..horizon)
+        .map(|t| straight.step(t, &recreated_batch(t)))
+        .collect();
+
+    let mut live = HistApprox::new(&cfg());
+    let mut sols: Vec<Solution> = (0..5).map(|t| live.step(t, &recreated_batch(t))).collect();
+    assert!(
+        has_deadline(&live, 10),
+        "deadline 10 must exist at the base"
+    );
+    let (base, idx, base_id) = checkpoint_base_to_vec(&live, &cfg(), 5);
+    for t in 5..8 {
+        sols.push(live.step(t, &recreated_batch(t)));
+        if t == 6 {
+            assert!(!has_deadline(&live, 10), "deadline 10 must be pruned");
+        }
+    }
+    assert!(has_deadline(&live, 10), "deadline 10 must be re-created");
+    let (delta, _, _) = checkpoint_delta_to_vec(&live, &cfg(), 8, &idx, base_id);
+    let (resume, mut warm): (u64, HistApprox) =
+        restore_from_chain(&[&delta, &base], &cfg()).expect("chain restores");
+    assert_eq!(resume, 8);
+    for t in 8..horizon {
+        sols.push(warm.step(t, &recreated_batch(t)));
+    }
+    assert_eq!(sols, reference);
+    assert_eq!(warm.oracle_calls(), straight.oracle_calls());
+    assert_eq!(warm.spread_stats(), straight.spread_stats());
+}
+
+/// Every inline section kind HISTAPPROX writes — tracker meta, the live
+/// TDN's core, adjacency chunks and bucket range, and each instance's
+/// sections under its creation serial — blames itself when corrupted.
+#[test]
+fn hist_approx_section_bit_flips_name_the_failing_section() {
+    let mut h = HistApprox::new(&cfg());
+    feed_six_steps(&mut h);
+    let bytes = checkpoint_to_vec(&h, &cfg(), 6);
+    sweep_section_bit_flips::<HistApprox>(
+        &bytes,
+        &[
+            "meta",
+            "g.core",
+            "g.adj.out.0",
+            "g.adj.inc.0",
+            "g.buckets.0",
+            "i12.meta",
+            "i12.graph.out.0",
+            "i12.graph.inc.0",
+            "i12.sieve",
+            "i12.memo",
+            "i19.meta",
+            "i19.sieve",
+        ],
+    );
+}
+
+/// A HISTAPPROX delta written one step after its base stores the
+/// instances and graph parts the step left alone as references, and the
+/// chain restores to the live tracker's future.
+#[test]
+fn hist_approx_delta_one_step_after_base_references_sections() {
+    let mut live = HistApprox::new(&cfg());
+    feed_six_steps(&mut live);
+    let (base, idx, base_id) = checkpoint_base_to_vec(&live, &cfg(), 6);
+    live.step(6, &[TimedEdge::new(0u32, 7u32, 3)]);
+    let (delta, _, _) = checkpoint_delta_to_vec(&live, &cfg(), 7, &idx, base_id);
+    let toc = codec::SectionReader::parse(sectioned_payload(&delta))
+        .expect("delta container parses")
+        .toc()
+        .clone();
+    let refs = toc.entries().iter().filter(|e| e.is_ref).count();
+    assert!(refs >= 1, "no section stored as a reference");
+    assert!(delta.len() < base.len());
+    let (_, mut warm): (u64, HistApprox) =
+        restore_from_chain(&[&delta, &base], &cfg()).expect("chain restores");
+    for t in 7..12 {
+        let batch = [TimedEdge::new((t % 5) as u32, (t % 7 + 5) as u32, 4)];
+        assert_eq!(warm.step(t, &batch), live.step(t, &batch), "t={t}");
+    }
+    assert_eq!(warm.oracle_calls(), live.oracle_calls());
 }

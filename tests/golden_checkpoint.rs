@@ -61,7 +61,10 @@ where
     let path = fixture_path(name);
     let manifest = read_manifest(&path).expect("fixture manifest readable");
     assert_eq!(manifest.step, CUT, "{name}: fixture cut drifted");
-    assert_eq!(manifest.format_version, format_version, "{name}: format drifted");
+    assert_eq!(
+        manifest.format_version, format_version,
+        "{name}: format drifted"
+    );
     let (resume, mut warm): (u64, T) =
         load_checkpoint(&path, &cfg()).expect("pre-refactor checkpoint restores");
     assert_eq!(resume, CUT);
@@ -112,7 +115,12 @@ fn hist_approx_v3_state_fixture_restores() {
     let bytes = std::fs::read(fixture_path("checkpoint_hist_approx_v3_state.tdnc")).unwrap();
     let payload = &bytes[64..bytes.len() - 8];
     let toc = codec::SectionReader::parse(payload).expect("container parses");
-    let names: Vec<&str> = toc.toc().entries().iter().map(|e| e.name.as_str()).collect();
+    let names: Vec<&str> = toc
+        .toc()
+        .entries()
+        .iter()
+        .map(|e| e.name.as_str())
+        .collect();
     assert_eq!(names, ["state"], "fixture must hold the one flat section");
     check_fixture("checkpoint_hist_approx_v3_state.tdnc", 3, || {
         HistApprox::new(&cfg())
